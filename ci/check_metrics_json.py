@@ -22,7 +22,10 @@ format, normally on stderr) and fails if:
     the "engine.health_state" gauge (0 ok, 1 degraded) and the
     "log.io_retries" / "log.io_errors" counters, so a degraded engine
     (poisoned WAL/page medium) is visible in /metrics and the stats
-    stream, not only via /healthz.
+    stream, not only via /healthz;
+  * the "txn.read_only_commits" counter is missing: every Database
+    registers it, since read-only commits append no log record and
+    would otherwise be invisible in the log counters.
 
 Also validates:
   * "DORADB_HEATMAP {json}" lines (the reporter's per-executor load
@@ -70,6 +73,8 @@ REQUIRED_NAMESPACES = ("dora.", "log.", "txn.", "ckpt.", "prof.")
 # every Database, so their absence means the health plumbing regressed.
 REQUIRED_HEALTH_METRICS = ("engine.health_state", "log.io_retries",
                            "log.io_errors")
+# Registered unconditionally by every Database as well.
+REQUIRED_TXN_METRICS = ("txn.read_only_commits",)
 BATCH_GROUP_RE = re.compile(r"^dora\.exec\.\d+\.batch\.group_size$")
 
 
@@ -264,6 +269,9 @@ def main(argv):
             if name not in seen_names:
                 errors.append(f"health metric {name!r} never reported "
                               f"(degradation latch not wired into metrics?)")
+        for name in REQUIRED_TXN_METRICS:
+            if name not in seen_names:
+                errors.append(f"transaction metric {name!r} never reported")
         # A reporter that tagged any line must have closed with a final
         # flush; endpoint-only captures (no reason field at all) are fine.
         if seen_reasons and "final" not in seen_reasons:

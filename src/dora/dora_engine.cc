@@ -292,9 +292,11 @@ void DoraEngine::AckLoop(AckShard* shard, size_t idx) {
         if (ack.dtxn->prof.armed) {
           ack.dtxn->prof.Stamp(obs::TraceStage::kDurable);
         }
+        if (txn->logged_work()) {
+          pipelined_.fetch_add(1, std::memory_order_relaxed);
+        }
         const Status s = db_->CommitFinalize(txn);
         committed_.fetch_add(1, std::memory_order_relaxed);
-        pipelined_.fetch_add(1, std::memory_order_relaxed);
         if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
           Database::CommitLatencyHistogram()->Record(static_cast<uint64_t>(
               Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
@@ -493,10 +495,12 @@ void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
   if (dtxn->prof.armed) {
     dtxn->prof.Stamp(obs::TraceStage::kDurable);
   }
+  if (txn->logged_work()) {
+    pipelined_.fetch_add(1, std::memory_order_relaxed);
+    acked_inline_.fetch_add(1, std::memory_order_relaxed);
+  }
   const Status s = db_->CommitFinalize(txn);
   committed_.fetch_add(1, std::memory_order_relaxed);
-  pipelined_.fetch_add(1, std::memory_order_relaxed);
-  acked_inline_.fetch_add(1, std::memory_order_relaxed);
   if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
     Database::CommitLatencyHistogram()->Record(static_cast<uint64_t>(
         Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
@@ -507,6 +511,26 @@ void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
     obs::StageGapProfiler::RecordTxn(dtxn->prof);
   }
   dtxn->Complete(s);
+}
+
+void DoraEngine::QueueAcks(DoraTxn* const* dtxns, const Lsn* lsns,
+                           size_t n) {
+  if (n == 0) return;
+  // The commit records went to this thread's bound partition; its ack
+  // queue lives at slot partition/shards of shard partition%shards.
+  const uint32_t partition = db_->log_manager()->CurrentPartition() %
+                             db_->log_manager()->num_partitions();
+  const uint32_t shards = static_cast<uint32_t>(ack_shards_.size());
+  AckShard* shard = ack_shards_[partition % shards].get();
+  {
+    std::lock_guard<std::mutex> g(shard->mu);
+    auto& queue = shard->queues[partition / shards].second;
+    for (size_t i = 0; i < n; ++i) {
+      dtxns[i]->Ref();  // the ack queue's reference
+      queue.push_back(CommitAck{dtxns[i], lsns[i]});
+    }
+  }
+  shard->cv.notify_one();
 }
 
 void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
@@ -529,35 +553,28 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
     // record, release thread-local locks immediately, queue the ack, and
     // let this executor pick up its next action instead of stalling in
     // WaitFlushed. The client is completed by the ack daemon once the
-    // commit GSN is covered by the global stable horizon.
-    const Lsn commit_gsn = db_->CommitAsync(dtxn->txn());
-    obs::CommitTracer::Stamp(dtxn->txn()->id(),
-                             obs::TraceStage::kCommitAppend);
+    // commit LSN is covered by the global stable horizon. A reader
+    // appends nothing; its LSN is the early-release horizon it depends on.
+    Transaction* txn = dtxn->txn();
+    const Lsn commit_lsn = db_->CommitAsync(txn);
+    obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kCommitAppend);
     if (dtxn->prof.armed) {
       dtxn->prof.Stamp(obs::TraceStage::kCommitAppend);
     }
+    // A writer publishes its commit LSN before any lock goes, so every
+    // transaction that reads its writes waits for their durability.
+    if (txn->logged_work()) db_->RaiseEarlyReleaseHorizon(commit_lsn);
     FanOutCompletions(dtxn);  // early lock release, pre-durability
     // Inline-ack fast path: when the global flush horizon already covers
-    // the commit GSN (synchronous log, or a flusher won the race), the
-    // commit is durable right now — finalize and complete the client on
-    // this executor instead of round-tripping through the ack daemon.
-    if (db_->log_manager()->flushed_lsn() >= commit_gsn) {
+    // the commit LSN (synchronous log, a flusher won the race, or a
+    // reader whose dependencies are durable), the commit is final right
+    // now — finalize and complete the client on this executor instead of
+    // round-tripping through the ack daemon.
+    if (db_->log_manager()->flushed_lsn() >= commit_lsn) {
       FinalizeInline(dtxn);
       return;
     }
-    dtxn->Ref();  // the ack queue's reference
-    // The commit record went to this thread's bound partition; its ack
-    // queue lives at slot partition/shards of shard partition%shards.
-    const uint32_t partition = db_->log_manager()->CurrentPartition() %
-                               db_->log_manager()->num_partitions();
-    const uint32_t shards = static_cast<uint32_t>(ack_shards_.size());
-    AckShard* shard = ack_shards_[partition % shards].get();
-    {
-      std::lock_guard<std::mutex> g(shard->mu);
-      shard->queues[partition / shards].second.push_back(
-          CommitAck{dtxn, commit_gsn});
-    }
-    shard->cv.notify_one();
+    QueueAcks(&dtxn, &commit_lsn, 1);
     return;
   }
 
@@ -612,14 +629,36 @@ void DoraEngine::CommitEpoch(Executor* self) {
   auto& dtxns = self->epoch_commits_;
   const size_t n = dtxns.size();
   if (n == 0) return;
-  // One log-buffer reservation covers the epoch's commit records
-  // (log.bulk_reservations). GSNs come out of the bulk append in issue
-  // order, so commit_gsns_ is monotonically increasing.
-  self->commit_txns_.resize(n);
-  self->commit_gsns_.resize(n);
-  for (size_t i = 0; i < n; ++i) self->commit_txns_[i] = dtxns[i]->txn();
-  db_->CommitAsyncBulk(self->commit_txns_.data(), n, self->commit_recs_,
-                       self->commit_rec_ptrs_, self->commit_gsns_.data());
+  auto& lsns = self->commit_lsns_;
+  lsns.resize(n);
+  // Writers first, then readers. The readers' commit (no record, the
+  // early-release horizon as their LSN) runs before this epoch's writers
+  // raise the horizon: those writers still hold every lock they took, so
+  // no reader here can have read their writes.
+  const size_t writers = static_cast<size_t>(
+      std::partition(dtxns.begin(), dtxns.end(),
+                     [](DoraTxn* t) { return t->txn()->logged_work(); }) -
+      dtxns.begin());
+  for (size_t i = writers; i < n; ++i) {
+    lsns[i] = db_->CommitAsync(dtxns[i]->txn());
+  }
+  if (writers != 0) {
+    // One log-buffer reservation (log.bulk_reservations) and one
+    // durability point cover the epoch's commit records.
+    self->commit_txns_.resize(writers);
+    for (size_t i = 0; i < writers; ++i) {
+      self->commit_txns_[i] = dtxns[i]->txn();
+    }
+    const Lsn epoch_lsn =
+        db_->CommitAsyncBulk(self->commit_txns_.data(), writers,
+                             self->commit_recs_, self->commit_rec_ptrs_);
+    std::fill(lsns.begin(), lsns.begin() + writers, epoch_lsn);
+    // Early lock release for the whole epoch — only now, with every
+    // commit GSN drawn and published, so any transaction that acquires
+    // these locks afterwards draws a strictly larger GSN and reads a
+    // horizon that covers this epoch.
+    db_->RaiseEarlyReleaseHorizon(epoch_lsn);
+  }
   for (size_t i = 0; i < n; ++i) {
     obs::CommitTracer::Stamp(dtxns[i]->txn()->id(),
                              obs::TraceStage::kCommitAppend);
@@ -627,33 +666,23 @@ void DoraEngine::CommitEpoch(Executor* self) {
       dtxns[i]->prof.Stamp(obs::TraceStage::kCommitAppend);
     }
   }
-  // Early lock release for the whole epoch — only now, with every commit
-  // GSN drawn, so any transaction that acquires these locks afterwards
-  // draws a strictly larger GSN (the ack-ordering invariant).
   for (size_t i = 0; i < n; ++i) FanOutCompletions(dtxns[i]);
-  // Epoch-granular ack: one horizon read decides the whole batch. GSNs
-  // increase with i, so the covered commits form a prefix — finalize those
-  // inline; the suffix takes one batched handoff (single lock, single
-  // wake) to this executor's bound ack queue.
+  // Epoch-granular ack: one horizon read decides the whole batch. Covered
+  // commits finalize inline; the rest are compacted to the front and take
+  // one batched handoff (single lock, single wake) to this executor's
+  // bound ack queue.
   const Lsn flushed = db_->log_manager()->flushed_lsn();
-  size_t covered = 0;
-  while (covered < n && self->commit_gsns_[covered] <= flushed) ++covered;
-  for (size_t i = 0; i < covered; ++i) FinalizeInline(dtxns[i]);
-  if (covered < n) {
-    const uint32_t partition = db_->log_manager()->CurrentPartition() %
-                               db_->log_manager()->num_partitions();
-    const uint32_t shards = static_cast<uint32_t>(ack_shards_.size());
-    AckShard* shard = ack_shards_[partition % shards].get();
-    {
-      std::lock_guard<std::mutex> g(shard->mu);
-      auto& queue = shard->queues[partition / shards].second;
-      for (size_t i = covered; i < n; ++i) {
-        dtxns[i]->Ref();  // the ack queue's reference
-        queue.push_back(CommitAck{dtxns[i], self->commit_gsns_[i]});
-      }
+  size_t pending = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (lsns[i] <= flushed) {
+      FinalizeInline(dtxns[i]);
+    } else {
+      dtxns[pending] = dtxns[i];
+      lsns[pending] = lsns[i];
+      ++pending;
     }
-    shard->cv.notify_one();
   }
+  QueueAcks(dtxns.data(), lsns.data(), pending);
   dtxns.clear();
 }
 

@@ -229,13 +229,14 @@ class DoraEngine {
   // epoch close (CommitEpoch) instead of one reservation each.
   void FinishTxn(DoraTxn* dtxn, Executor* self = nullptr);
 
-  // Close `self`'s epoch: bulk-append every deferred commit record (one
-  // log-buffer reservation), then fan out completions and acknowledge —
+  // Close `self`'s epoch: commit the deferred readers (no record, the
+  // early-release horizon as their LSN), bulk-append the writers' commit
+  // records (one log-buffer reservation) and raise the horizon to the
+  // epoch's durability point, then fan out completions and acknowledge —
   // inline for commits the flush horizon already covers, else one batched
-  // handoff to the executor's ack queue. GSNs are drawn inside the bulk
-  // append, BEFORE any of the epoch's locks release, so a dependent
-  // transaction admitted afterwards still draws a larger commit GSN — the
-  // invariant pipelined ack ordering rests on.
+  // handoff to the executor's ack queue. The horizon is raised BEFORE any
+  // of the epoch's locks release, so a transaction admitted afterwards
+  // depends on this epoch's durability whether it writes or only reads.
   void CommitEpoch(Executor* self);
 
   // --- stats ---
@@ -245,12 +246,13 @@ class DoraEngine {
   uint64_t txns_aborted() const {
     return aborted_.load(std::memory_order_relaxed);
   }
-  // Commits that went through the pipelined (ELR) path.
+  // Writer commits that went through the pipelined (ELR) path. Read-only
+  // commits count only in txns_committed (and "txn.read_only_commits").
   uint64_t txns_pipelined() const {
     return pipelined_.load(std::memory_order_relaxed);
   }
-  // Pipelined commits acknowledged inline because the flush horizon
-  // already covered their commit GSN (no ack-daemon round trip).
+  // Pipelined writer commits acknowledged inline because the flush
+  // horizon already covered their commit GSN (no ack-daemon round trip).
   uint64_t txns_acked_inline() const {
     return acked_inline_.load(std::memory_order_relaxed);
   }
@@ -285,6 +287,10 @@ class DoraEngine {
   // executor that ran one of its actions so they release local locks.
   // Each message carries one reference on the context.
   void FanOutCompletions(DoraTxn* dtxn);
+  // Hand `n` commits whose LSNs the flush horizon does not cover yet to
+  // the ack queue of this thread's bound log partition: one lock, one
+  // wake. Takes the queue's reference on each context.
+  void QueueAcks(DoraTxn* const* dtxns, const Lsn* lsns, size_t n);
   // Durable-now finalize for a pipelined commit acknowledged on the
   // executor (no ack-daemon round trip): CommitFinalize + counters +
   // latency histogram + client completion. Shared by FinishTxn's inline

@@ -189,9 +189,9 @@ class Executor {
   bool epoch_capture_ = false;
   std::vector<Action*> epoch_run_;
   std::vector<DoraTxn*> epoch_commits_;
-  // CommitAsyncBulk scratch (capacities survive across epochs).
+  // CommitEpoch scratch (capacities survive across epochs).
   std::vector<Transaction*> commit_txns_;
-  std::vector<Lsn> commit_gsns_;
+  std::vector<Lsn> commit_lsns_;
   std::vector<LogRecord> commit_recs_;
   std::vector<LogRecord*> commit_rec_ptrs_;
 

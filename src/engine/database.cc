@@ -37,9 +37,11 @@ Database::Database(Options options)
       catalog_(std::make_unique<Catalog>(pool_.get())),
       lock_(std::make_unique<LockManager>(options.lock)),
       log_(MakeLogBackend(options)),
-      txns_(std::make_unique<TxnManager>(lock_.get(), log_.get())),
+      txns_(std::make_unique<TxnManager>(lock_.get())),
       ckpt_(std::make_unique<ckpt::CheckpointCoordinator>(
-          pool_.get(), log_.get(), txns_.get(), options.checkpoint)) {
+          pool_.get(), log_.get(), txns_.get(), options.checkpoint)),
+      read_only_commits_(obs::MetricsRegistry::Default().GetCounter(
+          "txn.read_only_commits", "txns")) {
   // Reopen ordering hazard: recovered log records can reference pages the
   // dead lifetime allocated but never flushed (they sit beyond pages.db
   // EOF). Raise the allocator past every such id NOW — before application
@@ -255,18 +257,7 @@ Histogram* Database::CommitLatencyHistogram() {
 
 Status Database::Commit(Transaction* txn) {
   auto& health = obs::EngineHealth::Default();
-  if (health.degraded()) {
-    if (!txn->logged_work()) {
-      // Read-only transaction: nothing beyond the eager kBegin was logged,
-      // so its commit needs no durability wait — degraded mode keeps
-      // serving reads.
-      for (auto& fn : txn->post_commit()) fn();
-      txn->post_commit().clear();
-      lock_->ReleaseAll(txn);
-      txns_->Finish(txn);
-      txn->set_state(TxnState::kCommitted);
-      return Status::OK();
-    }
+  if (txn->logged_work() && health.degraded()) {
     // Logged transaction, caught before the commit record: nothing it
     // wrote can ever become durable, so roll it back cleanly while its
     // undo chain is still intact and surface the typed error.
@@ -307,15 +298,26 @@ Status Database::CommitIndeterminate(Transaction* txn, Status why) {
 }
 
 Lsn Database::CommitAsync(Transaction* txn) {
+  if (!txn->logged_work()) {
+    // Read-only: nothing to append. Under early lock release its one
+    // durability obligation (Aether's) is not to be acknowledged before
+    // the commits it read from are durable. Each of those raised the
+    // early-release horizon before releasing the locks this transaction
+    // later took, so the horizon read now, after its last read, covers
+    // them all. A degraded engine serves readers at once: its flush
+    // horizon is frozen, so the wait could never end.
+    if (obs::EngineHealth::Default().degraded()) return kInvalidLsn;
+    return early_release_horizon_.load(std::memory_order_acquire);
+  }
   LogRecord rec;
   rec.type = LogType::kCommit;
   rec.txn = txn->id();
   return txn->ChainAppend(log_.get(), &rec);
 }
 
-void Database::CommitAsyncBulk(Transaction* const* txns, size_t n,
-                               std::vector<LogRecord>& recs,
-                               std::vector<LogRecord*>& ptrs, Lsn* out_lsn) {
+Lsn Database::CommitAsyncBulk(Transaction* const* txns, size_t n,
+                              std::vector<LogRecord>& recs,
+                              std::vector<LogRecord*>& ptrs) {
   recs.resize(n);
   ptrs.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -325,11 +327,12 @@ void Database::CommitAsyncBulk(Transaction* const* txns, size_t n,
     recs[i].prev_lsn = txns[i]->last_lsn();
     ptrs[i] = &recs[i];
   }
-  log_->AppendBulk(ptrs.data(), n);
-  for (size_t i = 0; i < n; ++i) {
-    txns[i]->set_last_lsn(recs[i].lsn);
-    out_lsn[i] = recs[i].lsn;
-  }
+  // The last record's durability point covers the whole batch. A
+  // record's own LSN is not one on the central log, where it is the
+  // record's start offset.
+  const Lsn durable = log_->AppendBulk(ptrs.data(), n);
+  for (size_t i = 0; i < n; ++i) txns[i]->set_last_lsn(recs[i].lsn);
+  return durable;
 }
 
 Status Database::CommitFinalize(Transaction* txn) {
@@ -338,10 +341,14 @@ Status Database::CommitFinalize(Transaction* txn) {
   for (auto& fn : txn->post_commit()) fn();
   txn->post_commit().clear();
 
-  LogRecord end_rec;
-  end_rec.type = LogType::kEnd;
-  end_rec.txn = txn->id();
-  txn->ChainAppend(log_.get(), &end_rec);
+  if (txn->logged_work()) {
+    LogRecord end_rec;
+    end_rec.type = LogType::kEnd;
+    end_rec.txn = txn->id();
+    txn->ChainAppend(log_.get(), &end_rec);
+  } else {
+    read_only_commits_->Add();
+  }
 
   lock_->ReleaseAll(txn);
   txns_->Finish(txn);
@@ -355,10 +362,15 @@ Status Database::Abort(Transaction* txn) {
         obs::MetricsRegistry::Default().GetCounter("txn.aborts", "txns");
     aborts->Add();
   }
-  LogRecord abort_rec;
-  abort_rec.type = LogType::kAbort;
-  abort_rec.txn = txn->id();
-  txn->ChainAppend(log_.get(), &abort_rec);
+  // A transaction that logged nothing has no undo and nothing in the log
+  // to close: it leaves no kAbort or kEnd behind.
+  const bool logged = txn->logged_work();
+  if (logged) {
+    LogRecord abort_rec;
+    abort_rec.type = LogType::kAbort;
+    abort_rec.txn = txn->id();
+    txn->ChainAppend(log_.get(), &abort_rec);
+  }
 
   // Undo heap operations, newest first, logging a CLR per undone op.
   auto& undo = txn->undo();
@@ -411,10 +423,12 @@ Status Database::Abort(Transaction* txn) {
   iundo.clear();
   txn->post_commit().clear();
 
-  LogRecord end_rec;
-  end_rec.type = LogType::kEnd;
-  end_rec.txn = txn->id();
-  txn->ChainAppend(log_.get(), &end_rec);
+  if (logged) {
+    LogRecord end_rec;
+    end_rec.type = LogType::kEnd;
+    end_rec.txn = txn->id();
+    txn->ChainAppend(log_.get(), &end_rec);
+  }
 
   lock_->ReleaseAll(txn);
   txns_->Finish(txn);

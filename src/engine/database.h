@@ -18,6 +18,7 @@
 #ifndef DORADB_ENGINE_DATABASE_H_
 #define DORADB_ENGINE_DATABASE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 
@@ -151,8 +152,31 @@ class Database {
   // WaitFlushed(that lsn) has returned, CommitFinalize runs the rest of
   // the protocol (post-commit actions, kEnd, lock release). Commit() is
   // exactly CommitAsync + WaitFlushed + CommitFinalize.
+  //
+  // A read-only transaction (nothing logged) takes the same three steps
+  // but appends nothing: CommitAsync returns the early-release horizon
+  // read after its last read (see RaiseEarlyReleaseHorizon), so it is
+  // acknowledged only once every commit it could have read from is
+  // durable, and CommitFinalize writes no kEnd. It counts in
+  // "txn.read_only_commits".
   Lsn CommitAsync(Transaction* txn);
   Status CommitFinalize(Transaction* txn);
+
+  // Early lock release: a caller about to release a transaction's locks
+  // before its commit LSN `commit_lsn` is durable (DORA's pipelined and
+  // epoch commit paths) raises this database's early-release horizon to
+  // it first. The horizon is monotonic; any transaction that reads the
+  // released data therefore reads a horizon at or above `commit_lsn`
+  // afterwards. Paths that hold locks until durability (Database::Commit,
+  // the Baseline) never raise it, so their readers commit at once.
+  void RaiseEarlyReleaseHorizon(Lsn commit_lsn) {
+    Lsn cur = early_release_horizon_.load(std::memory_order_relaxed);
+    while (cur < commit_lsn &&
+           !early_release_horizon_.compare_exchange_weak(
+               cur, commit_lsn, std::memory_order_acq_rel,
+               std::memory_order_relaxed)) {
+    }
+  }
 
   // The failure-side counterpart of CommitFinalize: the commit record was
   // appended (CommitAsync) but its durability wait failed — the outcome is
@@ -164,14 +188,16 @@ class Database {
 
   // Bulk CommitAsync for DORA's epoch-batched commit path: builds all n
   // commit records and hands them to the log backend in ONE AppendBulk
-  // call (one buffer-latch reservation on the plog). out_lsn[i] receives
-  // txns[i]'s commit LSN. Caller contract: every transaction is quiescent
-  // — its terminal action finished, so no sibling is appending to its
-  // chain concurrently (the per-txn chain lock is not taken). `recs` and
-  // `ptrs` are caller-owned scratch reused across calls.
-  void CommitAsyncBulk(Transaction* const* txns, size_t n,
-                       std::vector<LogRecord>& recs,
-                       std::vector<LogRecord*>& ptrs, Lsn* out_lsn);
+  // call (one buffer-latch reservation on the plog). Returns the one LSN
+  // whose durability makes every one of the n commits final. Caller
+  // contract: every transaction has logged work (readers take
+  // CommitAsync) and is quiescent — its terminal action finished, so no
+  // sibling is appending to its chain concurrently (the per-txn chain
+  // lock is not taken). `recs` and `ptrs` are caller-owned scratch reused
+  // across calls.
+  Lsn CommitAsyncBulk(Transaction* const* txns, size_t n,
+                      std::vector<LogRecord>& recs,
+                      std::vector<LogRecord*>& ptrs);
 
   // Abort: roll back heap ops via the in-memory undo chain (logging CLRs),
   // reverse index ops logically, release locks.
@@ -267,6 +293,11 @@ class Database {
   std::unique_ptr<LogBackend> log_;
   std::unique_ptr<TxnManager> txns_;
   std::unique_ptr<ckpt::CheckpointCoordinator> ckpt_;
+
+  // Highest commit LSN of any transaction that released its locks before
+  // that commit was durable (RaiseEarlyReleaseHorizon).
+  std::atomic<Lsn> early_release_horizon_{kInvalidLsn};
+  obs::Counter* const read_only_commits_;
 
   // Observability: registry callback tokens for this database's subsystem
   // metrics (released in the destructor before the subsystems die) and the

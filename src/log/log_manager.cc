@@ -96,7 +96,8 @@ Lsn LogManager::DoFlush() {
     if (poisoned_.load(std::memory_order_relaxed)) {
       return flushed_lsn_.load(std::memory_order_relaxed);
     }
-    std::vector<uint8_t> pending;
+    std::vector<uint8_t>& pending = spare_;
+    pending.clear();
     {
       TatasGuard b(buffer_latch_, TimeClass::kLogContention);
       pending.swap(buffer_);

@@ -119,6 +119,10 @@ class LogManager final : public LogBackend {
 
   TatasLock buffer_latch_;          // guards buffer_ and next_lsn_ assignment
   std::vector<uint8_t> buffer_;     // volatile tail [flushed_lsn_, next_lsn_)
+  // Under stable_mu_: the buffer DoFlush drains into (by swap) and writes
+  // out. Swapping with it instead of a fresh vector keeps both buffers'
+  // capacity, so appends never regrow buffer_ from empty under the latch.
+  std::vector<uint8_t> spare_;
   std::atomic<Lsn> next_lsn_{1};    // LSN 0 is kInvalidLsn
   std::atomic<Lsn> flushed_lsn_{1};
 

@@ -18,7 +18,7 @@
 namespace doradb {
 
 enum class LogType : uint8_t {
-  kBegin = 1,
+  kBegin = 1,   // no longer written; decoded and accepted from older logs
   kInsert = 2,
   kUpdate = 3,
   kDelete = 4,

@@ -281,7 +281,7 @@ Status RecoveryDriver::UndoLosers() {
         cur = rec.undo_next;  // skip everything this CLR already covered
         continue;
       }
-      if (rec.type == LogType::kBegin) break;
+      if (rec.type == LogType::kBegin) break;  // older logs' chain start
       if (rec.type == LogType::kInsert || rec.type == LogType::kUpdate) {
         HeapFile* heap = catalog->Heap(rec.table);
         LogRecord clr;

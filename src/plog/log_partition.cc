@@ -60,7 +60,8 @@ void LogPartition::Flush(bool force_watermark) {
   {
     std::lock_guard<std::mutex> g(stable_mu_);
     if (killed_ || poisoned_.load(std::memory_order_relaxed)) return;
-    std::vector<uint8_t> pending;
+    std::vector<uint8_t>& pending = spare_;
+    pending.clear();
     Lsn horizon, batch_gsn;
     {
       TatasGuard b(buffer_latch_, TimeClass::kLogContention);

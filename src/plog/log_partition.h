@@ -168,6 +168,9 @@ class LogPartition {
 
   TatasLock buffer_latch_;       // guards buffer_, last stamp, GSN stamping
   std::vector<uint8_t> buffer_;  // volatile tail, records in GSN order
+  // Under stable_mu_: the buffer Flush drains into (by swap) and writes
+  // out; it keeps its capacity for the next swap.
+  std::vector<uint8_t> spare_;
   Lsn buffer_last_gsn_ = 0;      // highest GSN currently in buffer_
 
   mutable std::mutex stable_mu_;  // serializes flushes + stable reads

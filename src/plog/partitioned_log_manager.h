@@ -15,7 +15,9 @@
 // order, an acked commit can never depend on an unacked one — this is the
 // property that makes DORA's early lock release safe: a dependent
 // transaction's commit record always carries a larger GSN and therefore
-// cannot become durable-acked before its predecessor's.
+// cannot become durable-acked before its predecessor's. (A read-only
+// dependent appends no record; it gates on the early-release horizon —
+// see Database::CommitAsync.)
 //
 // Recovery: ReadStable() decodes every partition stream (each tolerating
 // its own torn tail), computes the recovery horizon

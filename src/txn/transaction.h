@@ -129,18 +129,18 @@ class Transaction {
   template <typename LogMgr, typename Rec>
   Lsn ChainAppend(LogMgr* log, Rec* rec) {
     TatasGuard g(bk_lock_, TimeClass::kLogWork);
-    if (rec->type != LogType::kBegin) logged_work_ = true;
     rec->prev_lsn = last_lsn_;
     const Lsn end = log->Append(rec);
     last_lsn_ = rec->lsn;
     return end;
   }
 
-  // True once any record beyond the eager kBegin has been chained: the
-  // transaction has logged work whose commit needs a durability wait.
-  // False = read-only (a lost kBegin is harmless), which is what lets a
-  // degraded engine keep committing pure readers.
-  bool logged_work() const { return logged_work_; }
+  // True once any record has been chained. Begin logs nothing, so false
+  // means read-only: the commit appends no record and its only durability
+  // obligation is the early-release horizon (Database::CommitAsync), and
+  // an abort has nothing to compensate. Read by the commit/abort paths,
+  // when the transaction is quiescent.
+  bool logged_work() const { return last_lsn_ != kInvalidLsn; }
 
   void PushUndo(UndoRecord rec) {
     TatasGuard g(bk_lock_, TimeClass::kLockOther);
@@ -183,7 +183,6 @@ class Transaction {
   const TxnId id_;
   TxnState state_ = TxnState::kActive;
   Lsn last_lsn_ = kInvalidLsn;
-  bool logged_work_ = false;
   uint64_t start_tsc_ = 0;
   std::atomic<Lsn> undo_low_{kInvalidLsn};
 

@@ -9,15 +9,11 @@ std::unique_ptr<Transaction> TxnManager::Begin() {
   auto txn = std::make_unique<Transaction>(id);
   txn->set_start_tsc(Cycles::Now());
   lm_->RegisterTxn(txn.get());
-  // Log kBegin first, then register with its LSN: the checkpoint snapshot
-  // must never observe an active transaction without a begin LSN. The
-  // reverse race — kBegin logged, registration not yet visible — is
-  // harmless: the transaction has no other records yet, and a truncated
-  // kBegin only shortens a loser's undo chain walk past its first record.
-  LogRecord rec;
-  rec.type = LogType::kBegin;
-  rec.txn = id;
-  txn->ChainAppend(log_, &rec);
+  // No kBegin record: a transaction enters the log with its first real
+  // record, whose prev_lsn is kInvalidLsn — the end of the undo chain
+  // recovery walks. Checkpoints need no begin LSN either: truncation is
+  // bounded by the undo-low pin set before the first heap-op append.
+  // So a transaction that never logs work leaves nothing in the log.
   {
     std::lock_guard<std::mutex> g(mu_);
     active_.emplace(id, txn.get());

@@ -1,5 +1,5 @@
-// Transaction manager: id allocation, active-transaction bookkeeping (for
-// checkpoints), and begin-record logging. The commit/abort protocols live in
+// Transaction manager: id allocation and active-transaction bookkeeping
+// (for checkpoints). Begin logs nothing. The commit/abort protocols live in
 // engine::Database, which owns the storage objects they touch.
 
 #ifndef DORADB_TXN_TXN_MANAGER_H_
@@ -12,17 +12,16 @@
 #include <vector>
 
 #include "lock/lock_manager.h"
-#include "log/log_backend.h"
 #include "txn/transaction.h"
 
 namespace doradb {
 
 class TxnManager {
  public:
-  TxnManager(LockManager* lm, LogBackend* log) : lm_(lm), log_(log) {}
+  explicit TxnManager(LockManager* lm) : lm_(lm) {}
 
-  // Start a transaction: allocate an id, register it with the lock
-  // manager's deadlock detector, log kBegin.
+  // Start a transaction: allocate an id and register it with the lock
+  // manager's deadlock detector. No log record is written.
   std::unique_ptr<Transaction> Begin();
 
   // Bookkeeping at transaction end (Database drives the full protocol).
@@ -58,7 +57,6 @@ class TxnManager {
 
  private:
   LockManager* const lm_;
-  LogBackend* const log_;
   std::atomic<TxnId> next_id_{1};
   std::atomic<uint64_t> started_{0};
 

@@ -10,6 +10,8 @@
 
 #include "dora/dora_engine.h"
 #include "dora/resource_manager.h"
+#include "log/recovery.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace doradb {
@@ -478,20 +480,22 @@ TEST_F(DoraEngineTest, SerialPlanAvoidsWastedWorkOnAbort) {
 // ---------------------------------------------------------- epoch batching
 
 // Database + engine with epoch batching armed at `min_batch`. `pipelined`
-// turns on pipelined commit over the partitioned log backend, so the
-// epoch-close path (bulk commit append + batched acks) is exercised end to
-// end; without it, epochs only reorder execution.
+// turns on pipelined commit, by default over the partitioned log backend,
+// so the epoch-close path (bulk commit append + batched acks) is exercised
+// end to end; without it, epochs only reorder execution.
 class EpochBatchTest : public ::testing::Test {
  protected:
   void Build(uint32_t min_batch, bool pipelined) {
+    Build(min_batch, pipelined,
+          pipelined ? LogBackendKind::kPartitioned : LogBackendKind::kCentral);
+  }
+  void Build(uint32_t min_batch, bool pipelined, LogBackendKind backend) {
     if (engine_) engine_->Stop();
     engine_.reset();
     db_.reset();
     Database::Options dbo = SmallDb();
-    if (pipelined) {
-      dbo.log_backend = LogBackendKind::kPartitioned;
-      dbo.log_partitions = 2;
-    }
+    dbo.log_backend = backend;
+    dbo.log_partitions = 2;
     db_ = std::make_unique<Database>(dbo);
     ASSERT_TRUE(db_->catalog()->CreateTable("a", &table_a_).ok());
     DoraEngine::Options eo;
@@ -654,6 +658,73 @@ TEST_F(EpochBatchTest, HighThresholdKeepsPerActionPathAtLowLoad) {
   const auto stats = engine_->CollectInboxStats();
   EXPECT_EQ(stats.epoch_groups, 0u)
       << "low load must never trip the batch threshold";
+}
+
+TEST_F(EpochBatchTest, ReadOnlyTransactionsLeaveNothingInTheLog) {
+  // A transaction that logs no work appends no record: not at Begin, not
+  // at commit (Database::Commit, DORA pipelined, DORA epoch), not at an
+  // abort — on either log backend. A crash after only such transactions
+  // finds nothing to recover: no winners, no losers.
+  auto* read_only = obs::MetricsRegistry::Default().GetCounter(
+      "txn.read_only_commits", "txns");
+  for (const LogBackendKind backend :
+       {LogBackendKind::kCentral, LogBackendKind::kPartitioned}) {
+    for (const uint32_t min_batch : {0u, 1u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "backend " << static_cast<int>(backend)
+                   << ", epoch_batch_min " << min_batch);
+      Build(min_batch, /*pipelined=*/true, backend);
+      LogBackend* log = db_->log_manager();
+      const uint64_t appends = log->appends();
+      const uint64_t read_only_before = read_only->Value();
+      {
+        auto txn = db_->Begin();
+        ASSERT_TRUE(db_->Commit(txn.get()).ok());
+      }
+      {
+        auto txn = db_->Begin();
+        ASSERT_TRUE(db_->Abort(txn.get()).ok());
+      }
+      constexpr int kReaders = 40;
+      for (int i = 0; i < kReaders; ++i) {
+        auto dtxn = engine_->BeginTxn();
+        FlowGraph g;
+        g.AddPhase()
+            .AddAction(table_a_, 10, LocalMode::kS,
+                       [](ActionEnv&) { return Status::OK(); })
+            .AddAction(table_a_, 90, LocalMode::kS,
+                       [](ActionEnv&) { return Status::OK(); });
+        ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+      }
+      {
+        auto dtxn = engine_->BeginTxn();
+        FlowGraph g;
+        g.AddPhase().AddAction(table_a_, 10, LocalMode::kS, [](ActionEnv&) {
+          return Status::Aborted("user abort");
+        });
+        EXPECT_TRUE(engine_->Run(dtxn, std::move(g)).IsAborted());
+      }
+      if (min_batch != 0) {
+        EXPECT_GT(engine_->CollectInboxStats().epoch_actions, 0u);
+      }
+      EXPECT_EQ(engine_->txns_committed(), uint64_t(kReaders));
+      EXPECT_EQ(engine_->txns_pipelined(), 0u)
+          << "read-only commits must stay out of the pipelined count";
+      EXPECT_EQ(engine_->txns_acked_inline(), 0u);
+      engine_->Stop();  // commits the executors' system transaction too
+      EXPECT_EQ(log->appends(), appends) << "a read-only txn logged a record";
+      // Database::Commit, the readers, and the system transaction.
+      EXPECT_EQ(read_only->Value() - read_only_before,
+                uint64_t(1 + kReaders + 1));
+
+      db_->SimulateCrash();
+      RecoveryDriver driver(db_.get());
+      ASSERT_TRUE(driver.Run(nullptr).ok());
+      EXPECT_EQ(driver.stats().winners, 0u);
+      EXPECT_EQ(driver.stats().losers, 0u);
+      EXPECT_EQ(driver.stats().records_scanned, 0u);
+    }
+  }
 }
 
 // ------------------------------------------------------------- PlanAdvisor
