@@ -25,7 +25,10 @@ format, normally on stderr) and fails if:
     stream, not only via /healthz;
   * the "txn.read_only_commits" counter is missing: every Database
     registers it, since read-only commits append no log record and
-    would otherwise be invisible in the log counters.
+    would otherwise be invisible in the log counters;
+  * the buffer-pool counters "pool.hits", "pool.misses",
+    "pool.evictions" and "pool.read_waits" are missing: every Database
+    registers them.
 
 Also validates:
   * "DORADB_HEATMAP {json}" lines (the reporter's per-executor load
@@ -75,6 +78,8 @@ REQUIRED_HEALTH_METRICS = ("engine.health_state", "log.io_retries",
                            "log.io_errors")
 # Registered unconditionally by every Database as well.
 REQUIRED_TXN_METRICS = ("txn.read_only_commits",)
+REQUIRED_POOL_METRICS = ("pool.hits", "pool.misses", "pool.evictions",
+                         "pool.read_waits")
 BATCH_GROUP_RE = re.compile(r"^dora\.exec\.\d+\.batch\.group_size$")
 
 
@@ -272,6 +277,9 @@ def main(argv):
         for name in REQUIRED_TXN_METRICS:
             if name not in seen_names:
                 errors.append(f"transaction metric {name!r} never reported")
+        for name in REQUIRED_POOL_METRICS:
+            if name not in seen_names:
+                errors.append(f"buffer-pool metric {name!r} never reported")
         # A reporter that tagged any line must have closed with a final
         # flush; endpoint-only captures (no reason field at all) are fine.
         if seen_reasons and "final" not in seen_reasons:

@@ -160,6 +160,18 @@ Database::Database(Options options)
   cb("ckpt.last_horizon",
      [this] { return static_cast<int64_t>(ckpt_->last_horizon()); }, kGau,
      "lsn");
+  cb("pool.hits",
+     [this] { return static_cast<int64_t>(pool_->hits()); }, kCtr,
+     "fetches");
+  cb("pool.misses",
+     [this] { return static_cast<int64_t>(pool_->misses()); }, kCtr,
+     "fetches");
+  cb("pool.evictions",
+     [this] { return static_cast<int64_t>(pool_->evictions()); }, kCtr,
+     "frames");
+  cb("pool.read_waits",
+     [this] { return static_cast<int64_t>(pool_->read_waits()); }, kCtr,
+     "fetches");
   // Health surface: 0 = Ok, 1 = Degraded (read-only; logged commits fail
   // Unavailable). The retry/error counters come from the storage layer's
   // bounded-retry I/O wrappers and count process-wide.

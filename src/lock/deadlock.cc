@@ -16,11 +16,13 @@ void ActiveTxnTable::Unregister(TxnId id) {
   s.map.erase(id);
 }
 
-Transaction* ActiveTxnTable::Find(TxnId id) const {
+bool ActiveTxnTable::AppendWaitsFor(TxnId id, std::vector<TxnId>* out) const {
   const Shard& s = ShardFor(id);
   TatasGuard g(s.lock, TimeClass::kLockOther);
   auto it = s.map.find(id);
-  return it == s.map.end() ? nullptr : it->second;
+  if (it == s.map.end()) return false;
+  for (TxnId h : it->second->WaitsForSnapshot()) out->push_back(h);
+  return true;
 }
 
 size_t ActiveTxnTable::Size() const {
@@ -37,11 +39,7 @@ bool DeadlockDetector::WouldDeadlock(TxnId self) const {
   // Iterative DFS; the graph is tiny (bounded by blocked transactions).
   std::vector<TxnId> stack;
   std::vector<TxnId> visited;
-  {
-    Transaction* t = txns_->Find(self);
-    if (t == nullptr) return false;
-    for (TxnId h : t->WaitsForSnapshot()) stack.push_back(h);
-  }
+  if (!txns_->AppendWaitsFor(self, &stack)) return false;
   while (!stack.empty()) {
     const TxnId cur = stack.back();
     stack.pop_back();
@@ -58,9 +56,8 @@ bool DeadlockDetector::WouldDeadlock(TxnId self) const {
     }
     if (seen) continue;
     visited.push_back(cur);
-    Transaction* t = txns_->Find(cur);
-    if (t == nullptr) continue;  // already finished; edge is stale
-    for (TxnId h : t->WaitsForSnapshot()) stack.push_back(h);
+    // A finished transaction appends nothing: its edge is stale.
+    txns_->AppendWaitsFor(cur, &stack);
   }
   return false;
 }

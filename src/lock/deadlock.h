@@ -31,8 +31,11 @@ class ActiveTxnTable {
 
   void Register(Transaction* txn);
   void Unregister(TxnId id);
-  // May return nullptr if the transaction already finished.
-  Transaction* Find(TxnId id) const;
+  // Append the waits-for edges of `id` to `out`; false if the transaction
+  // already finished. The edges are read under the table's shard latch,
+  // which Unregister also takes, so a transaction that finishes and is
+  // freed concurrently is never dereferenced after its unregistration.
+  bool AppendWaitsFor(TxnId id, std::vector<TxnId>* out) const;
   size_t Size() const;
 
  private:

@@ -82,39 +82,78 @@ BufferPool::BufferPool(DiskManager* disk, size_t num_frames)
       num_frames_(num_frames),
       slab_(std::make_unique<uint8_t[]>(num_frames * kPageSize)),
       frames_(std::make_unique<Frame[]>(num_frames)) {
-  page_table_.reserve(num_frames * 2);
+  for (Shard& s : shards_) s.table.reserve(2 * num_frames / kNumShards + 1);
 }
 
 BufferPool::~BufferPool() { (void)FlushAll(); }
 
-bool BufferPool::AllocateFrame(size_t* out_idx) {
+bool BufferPool::ClaimFrame(size_t* out_idx) {
   // CLOCK sweep: at most two full passes (first clears reference bits).
   for (size_t scanned = 0; scanned < num_frames_ * 2; ++scanned) {
-    Frame& f = frames_[clock_hand_];
-    const size_t idx = clock_hand_;
-    clock_hand_ = (clock_hand_ + 1) % num_frames_;
-    if (f.page_id == kInvalidPageId) {
+    const size_t idx =
+        clock_hand_.fetch_add(1, std::memory_order_relaxed) % num_frames_;
+    Frame& f = frames_[idx];
+    if (f.pin_count.load(std::memory_order_relaxed) != 0) continue;
+    const PageId pid = f.page_id.load(std::memory_order_acquire);
+    uint32_t unpinned = 0;
+    if (pid == kInvalidPageId) {
+      // Free frame. The CAS makes it ours; the re-check catches a claimer
+      // that mapped it and unpinned between our two loads.
+      if (!f.pin_count.compare_exchange_strong(unpinned, 1,
+                                               std::memory_order_acquire)) {
+        continue;
+      }
+      if (f.page_id.load(std::memory_order_acquire) != kInvalidPageId) {
+        Unpin(idx);
+        continue;
+      }
       *out_idx = idx;
       return true;
     }
-    if (f.pin_count.load(std::memory_order_relaxed) != 0) continue;
-    if (f.referenced) {
-      f.referenced = false;
+    if (f.referenced.load(std::memory_order_relaxed)) {
+      f.referenced.store(false, std::memory_order_relaxed);
       continue;
     }
-    // Victim found: write back if dirty, then unmap.
-    if (f.dirty.load(std::memory_order_relaxed)) {
-      const auto* hdr = reinterpret_cast<const PageHeaderBase*>(FrameData(idx));
-      // WAL rule under failure: if the log cannot become durable through
-      // this page's LSN (poisoned stream), the page must not be stolen —
-      // keep scanning for a clean victim instead.
-      if (wal_flush_ && !wal_flush_(hdr->page_lsn)) continue;
-      disk_->WritePage(f.page_id, FrameData(idx));
-      CleanFrame(f);
+    // Victim candidate. Claim it under its shard latch, so no fetch can
+    // pin it between the claim and the unmap.
+    Shard& shard = ShardOf(pid);
+    shard.latch.Lock(TimeClass::kBufferContention);
+    if (f.page_id.load(std::memory_order_relaxed) != pid ||
+        !f.pin_count.compare_exchange_strong(unpinned, 1,
+                                             std::memory_order_acquire)) {
+      shard.latch.Unlock();
+      continue;
     }
-    page_table_.erase(f.page_id);
-    f.page_id = kInvalidPageId;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (f.dirty.load(std::memory_order_relaxed)) {
+      // Nobody else holds a pin, so nobody holds the frame latch: the try
+      // cannot fail in practice, and eviction never blocks on a page latch.
+      if (!f.latch.TryReadLock()) {
+        shard.latch.Unlock();
+        Unpin(idx);
+        continue;
+      }
+      // Write back outside the shard latch. The mapping stays live, so
+      // fetchers may pin the page meanwhile; a writer waits for the read
+      // latch.
+      shard.latch.Unlock();
+      bool wrote;
+      const Status ws = WriteBack(idx, &wrote);
+      f.latch.ReadUnlock();
+      shard.latch.Lock(TimeClass::kBufferContention);
+      // Skip the victim if its write-back failed (it stays dirty and
+      // resident) or if it was pinned or re-dirtied in the meantime.
+      if (!ws.ok() || f.pin_count.load(std::memory_order_acquire) != 1 ||
+          f.dirty.load(std::memory_order_relaxed)) {
+        shard.latch.Unlock();
+        Unpin(idx);
+        continue;
+      }
+    }
+    auto it = shard.table.find(pid);
+    if (it != shard.table.end() && it->second == idx) shard.table.erase(it);
+    f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+    Bump(shard.evictions);
+    shard.latch.Unlock();
     *out_idx = idx;
     return true;
   }
@@ -123,80 +162,151 @@ bool BufferPool::AllocateFrame(size_t* out_idx) {
 
 Status BufferPool::NewPage(PageGuard* out, PageId* page_id) {
   const PageId id = disk_->AllocatePage();
-  TatasGuard g(map_lock_, TimeClass::kBufferContention);
   size_t idx;
-  if (!AllocateFrame(&idx)) return Status::Full("all frames pinned");
+  if (!ClaimFrame(&idx)) return Status::Full("all frames pinned");
   Frame& f = frames_[idx];
-  f.page_id = id;
-  f.referenced = true;
+  f.referenced.store(true, std::memory_order_relaxed);
   // A new page must eventually reach the disk image.
   f.dirty.store(true, std::memory_order_relaxed);
-  f.rec_lsn.store(kInvalidLsn, std::memory_order_relaxed);
-  f.writer_partition.store(kNoWriterPartition, std::memory_order_relaxed);
-  f.pin_count.store(1, std::memory_order_relaxed);
   std::memset(FrameData(idx), 0, kPageSize);
-  page_table_[id] = idx;
+  Shard& shard = ShardOf(id);
+  {
+    TatasGuard g(shard.latch, TimeClass::kBufferContention);
+    shard.table[id] = idx;
+    f.page_id.store(id, std::memory_order_release);
+  }
   *out = PageGuard(this, idx, FrameData(idx));
   *page_id = id;
   return Status::OK();
 }
 
 Status BufferPool::FetchPage(PageId page_id, PageGuard* out) {
-  TatasGuard g(map_lock_, TimeClass::kBufferContention);
-  auto it = page_table_.find(page_id);
-  if (it != page_table_.end()) {
-    Frame& f = frames_[it->second];
-    f.pin_count.fetch_add(1, std::memory_order_relaxed);
-    f.referenced = true;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    *out = PageGuard(this, it->second, FrameData(it->second));
+  Shard& shard = ShardOf(page_id);
+  for (;;) {
+    shard.latch.Lock(TimeClass::kBufferContention);
+    auto it = shard.table.find(page_id);
+    if (it != shard.table.end()) {
+      const size_t idx = it->second;
+      Frame& f = frames_[idx];
+      f.pin_count.fetch_add(1, std::memory_order_relaxed);
+      f.referenced.store(true, std::memory_order_relaxed);
+      const bool loading = f.loading.load(std::memory_order_acquire);
+      Bump(shard.hits);
+      if (loading) Bump(shard.read_waits);
+      shard.latch.Unlock();
+      if (loading) {
+        // Our pin keeps the frame from being reclaimed, so once the load
+        // settles it holds either this page or, after a failed read,
+        // nothing — then retry, which re-reads or reports the error.
+        ScopedTimeClass timer(TimeClass::kBufferContention);
+        Backoff backoff;
+        while (f.loading.load(std::memory_order_acquire)) backoff.Spin();
+        if (f.page_id.load(std::memory_order_relaxed) != page_id) {
+          Unpin(idx);
+          continue;
+        }
+      }
+      *out = PageGuard(this, idx, FrameData(idx));
+      return Status::OK();
+    }
+    shard.latch.Unlock();
+
+    size_t idx;
+    if (!ClaimFrame(&idx)) return Status::Full("all frames pinned");
+    Frame& f = frames_[idx];
+    f.referenced.store(true, std::memory_order_relaxed);
+    f.loading.store(true, std::memory_order_relaxed);
+    shard.latch.Lock(TimeClass::kBufferContention);
+    if (!shard.table.emplace(page_id, idx).second) {
+      // Another fetcher published the page first: give the frame back.
+      shard.latch.Unlock();
+      f.loading.store(false, std::memory_order_relaxed);
+      Unpin(idx);
+      continue;
+    }
+    f.page_id.store(page_id, std::memory_order_relaxed);
+    Bump(shard.misses);
+    shard.latch.Unlock();
+
+    const Status s = disk_->ReadPage(page_id, FrameData(idx));
+    if (!s.ok()) {
+      // Nobody else can unmap a frame we hold pinned.
+      shard.latch.Lock(TimeClass::kBufferContention);
+      shard.table.erase(page_id);
+      f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+      shard.latch.Unlock();
+    }
+    f.loading.store(false, std::memory_order_release);
+    if (!s.ok()) {
+      Unpin(idx);
+      return s;
+    }
+    *out = PageGuard(this, idx, FrameData(idx));
     return Status::OK();
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  size_t idx;
-  if (!AllocateFrame(&idx)) return Status::Full("all frames pinned");
-  DORADB_RETURN_NOT_OK(disk_->ReadPage(page_id, FrameData(idx)));
+}
+
+Status BufferPool::WriteBack(size_t idx, bool* wrote) {
+  *wrote = false;
   Frame& f = frames_[idx];
-  f.page_id = page_id;
-  f.referenced = true;
+  if (!f.dirty.load(std::memory_order_relaxed)) return Status::OK();
+  const auto* hdr = reinterpret_cast<const PageHeaderBase*>(FrameData(idx));
+  // WAL rule under failure: if the log cannot become durable through this
+  // page's LSN (poisoned stream), the page must not reach the disk image.
+  if (wal_flush_ && !wal_flush_(hdr->page_lsn)) {
+    return Status::Unavailable("wal: flush horizon unreachable");
+  }
+  DORADB_RETURN_NOT_OK(disk_->WritePage(
+      f.page_id.load(std::memory_order_relaxed), FrameData(idx)));
   CleanFrame(f);
-  f.pin_count.store(1, std::memory_order_relaxed);
-  page_table_[page_id] = idx;
-  *out = PageGuard(this, idx, FrameData(idx));
+  *wrote = true;
   return Status::OK();
+}
+
+Status BufferPool::FlushPinned(size_t idx, bool* wrote) {
+  Status s;
+  {
+    ReadGuard g(frames_[idx].latch, TimeClass::kBufferContention);
+    s = WriteBack(idx, wrote);
+  }
+  Unpin(idx);
+  return s;
+}
+
+template <typename Pred>
+bool BufferPool::PinResident(size_t idx, Pred pred) {
+  Frame& f = frames_[idx];
+  const PageId pid = f.page_id.load(std::memory_order_acquire);
+  if (pid == kInvalidPageId) return false;
+  Shard& shard = ShardOf(pid);
+  TatasGuard g(shard.latch, TimeClass::kBufferContention);
+  if (f.page_id.load(std::memory_order_relaxed) != pid || !pred(f)) {
+    return false;
+  }
+  f.pin_count.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 Status BufferPool::FlushPage(PageId page_id) {
-  TatasGuard g(map_lock_, TimeClass::kBufferContention);
-  auto it = page_table_.find(page_id);
-  if (it == page_table_.end()) return Status::NotFound("page not resident");
-  Frame& f = frames_[it->second];
-  if (f.dirty.load(std::memory_order_relaxed)) {
-    const auto* hdr =
-        reinterpret_cast<const PageHeaderBase*>(FrameData(it->second));
-    if (wal_flush_ && !wal_flush_(hdr->page_lsn)) {
-      return Status::Unavailable("wal: flush horizon unreachable");
-    }
-    DORADB_RETURN_NOT_OK(disk_->WritePage(page_id, FrameData(it->second)));
-    CleanFrame(f);
+  Shard& shard = ShardOf(page_id);
+  size_t idx;
+  {
+    TatasGuard g(shard.latch, TimeClass::kBufferContention);
+    auto it = shard.table.find(page_id);
+    if (it == shard.table.end()) return Status::NotFound("page not resident");
+    idx = it->second;
+    frames_[idx].pin_count.fetch_add(1, std::memory_order_relaxed);
   }
-  return Status::OK();
+  bool wrote;
+  return FlushPinned(idx, &wrote);
 }
 
 Status BufferPool::FlushAll() {
-  TatasGuard g(map_lock_, TimeClass::kBufferContention);
   for (size_t i = 0; i < num_frames_; ++i) {
-    Frame& f = frames_[i];
-    if (f.page_id == kInvalidPageId ||
-        !f.dirty.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    const auto* hdr = reinterpret_cast<const PageHeaderBase*>(FrameData(i));
-    if (wal_flush_ && !wal_flush_(hdr->page_lsn)) {
-      return Status::Unavailable("wal: flush horizon unreachable");
-    }
-    DORADB_RETURN_NOT_OK(disk_->WritePage(f.page_id, FrameData(i)));
-    CleanFrame(f);
+    if (!frames_[i].dirty.load(std::memory_order_relaxed)) continue;
+    if (!PinResident(i, [](const Frame&) { return true; })) continue;
+    bool wrote;
+    DORADB_RETURN_NOT_OK(FlushPinned(i, &wrote));
   }
   return Status::OK();
 }
@@ -205,66 +315,45 @@ Status BufferPool::FlushPartition(uint32_t partition, bool all_partitions,
                                   CheckpointScan* scan) {
   *scan = CheckpointScan{};
   for (size_t i = 0; i < num_frames_; ++i) {
-    Frame& f = frames_[i];
-    PageId pid;
-    {
-      TatasGuard g(map_lock_, TimeClass::kBufferContention);
-      if (f.page_id == kInvalidPageId ||
-          !f.dirty.load(std::memory_order_relaxed)) {
-        continue;
-      }
+    if (!frames_[i].dirty.load(std::memory_order_relaxed)) continue;
+    // Decide under the page's shard latch, so an eviction cannot unmap the
+    // page between the decision and the pin.
+    const bool pinned = PinResident(i, [&](const Frame& f) {
+      if (!f.dirty.load(std::memory_order_relaxed)) return false;
       const Lsn rec_lsn = f.rec_lsn.load(std::memory_order_relaxed);
-      if (rec_lsn == kInvalidLsn) continue;  // unlogged; see header
-      const bool mine =
-          all_partitions ||
-          f.writer_partition.load(std::memory_order_relaxed) == partition;
-      if (!mine) {
-        if (rec_lsn < scan->min_rec_lsn) scan->min_rec_lsn = rec_lsn;
-        ++scan->pages_skipped;
-        continue;
+      if (rec_lsn == kInvalidLsn) return false;  // unlogged; see header
+      if (all_partitions ||
+          f.writer_partition.load(std::memory_order_relaxed) == partition) {
+        return true;
       }
-      // Pin under the map lock so the frame cannot be evicted, then drop
-      // the lock before latching — a writer holding the frame latch never
-      // needs the map lock, so this ordering cannot deadlock.
-      f.pin_count.fetch_add(1, std::memory_order_relaxed);
-      pid = f.page_id;
-    }
-    f.latch.ReadLock(TimeClass::kBufferContention);
-    Status s;
-    if (f.dirty.load(std::memory_order_relaxed)) {
-      // The read latch excludes writers: the copy below is a consistent
-      // page version, and nobody can re-dirty it until we unlatch — so
-      // clearing the dirty metadata after the write is race-free.
-      const auto* hdr = reinterpret_cast<const PageHeaderBase*>(FrameData(i));
-      if (wal_flush_ && !wal_flush_(hdr->page_lsn)) {
-        // Abort the scan: the caller's checkpoint must not publish a
-        // horizon computed from a flush that could not complete.
-        s = Status::Unavailable("wal: flush horizon unreachable");
-      } else {
-        s = disk_->WritePage(pid, FrameData(i));
-      }
-      if (s.ok()) {
-        CleanFrame(f);
-        ++scan->pages_flushed;
-      }
-    }
-    f.latch.ReadUnlock();
-    Unpin(i);
-    DORADB_RETURN_NOT_OK(s);
+      if (rec_lsn < scan->min_rec_lsn) scan->min_rec_lsn = rec_lsn;
+      ++scan->pages_skipped;
+      return false;
+    });
+    if (!pinned) continue;
+    bool wrote;
+    // A failure aborts the scan: the caller's checkpoint must not publish
+    // a horizon computed from a flush that could not complete.
+    DORADB_RETURN_NOT_OK(FlushPinned(i, &wrote));
+    if (wrote) ++scan->pages_flushed;
   }
   return Status::OK();
 }
 
 void BufferPool::DiscardAll() {
-  TatasGuard g(map_lock_, TimeClass::kBufferContention);
-  for (size_t i = 0; i < num_frames_; ++i) {
-    frames_[i].page_id = kInvalidPageId;
-    frames_[i].pin_count.store(0, std::memory_order_relaxed);
-    frames_[i].referenced = false;
-    CleanFrame(frames_[i]);
+  for (Shard& s : shards_) {
+    TatasGuard g(s.latch, TimeClass::kBufferContention);
+    s.table.clear();
   }
-  page_table_.clear();
-  clock_hand_ = 0;
+  for (size_t i = 0; i < num_frames_; ++i) {
+    Frame& f = frames_[i];
+    f.page_id.store(kInvalidPageId, std::memory_order_relaxed);
+    f.pin_count.store(0, std::memory_order_relaxed);
+    f.referenced.store(false, std::memory_order_relaxed);
+    f.loading.store(false, std::memory_order_relaxed);
+    CleanFrame(f);
+  }
+  clock_hand_.store(0, std::memory_order_relaxed);
 }
 
 void BufferPool::Unpin(size_t frame_idx) {

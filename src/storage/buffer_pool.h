@@ -6,9 +6,29 @@
 // a per-frame reader-writer latch, attributed to TimeClass::kBufferContention
 // when contended.
 //
+// No pool-wide latch. The page table is split into kNumShards cache-line-
+// aligned shards, each a TATAS latch over its own map; a page id hashes to
+// one shard. Latch order is shard latch, then pin, then frame latch:
+//  * A pin is only taken under the shard latch of the frame's page (hits,
+//    flushes) or by claiming an unpinned frame with a CAS of pin_count from
+//    0 to 1 (replacement). A victim's claim is made under its shard latch,
+//    so no fetch can pin it concurrently, and a mapping is erased only
+//    while it still points at the claimed frame.
+//  * The CLOCK hand is an atomic counter; each claimer sweeps on its own.
+//  * No shard latch is ever held across I/O or the WAL callback. A miss
+//    claims a frame, publishes the mapping in a *loading* state, and reads
+//    the page outside every latch; a concurrent fetcher of the same page
+//    pins the frame and waits for the load (counted in read_waits()). A
+//    failed read unpublishes the mapping and its waiters retry. A dirty
+//    victim is written back under its own frame read latch only.
+//
 // WAL rule: a dirty page may only be written back after the log has been
-// flushed up to the page's LSN; the pool calls the registered wal-flush
-// callback before every dirty eviction/flush.
+// flushed up to the page's LSN. Every write-back — eviction, FlushPage,
+// FlushAll, FlushPartition — goes through one helper that calls the
+// registered wal-flush callback first and clears the dirty state only if
+// the page write succeeded. A page whose write-back fails (unreachable
+// log horizon or a failed page write) stays dirty and resident; eviction
+// skips it.
 //
 // Checkpoint support (src/ckpt/): each frame remembers the LSN of the
 // record that first dirtied it since it was last clean (its rec_lsn — the
@@ -146,35 +166,73 @@ class BufferPool {
   void DiscardAll();
 
   size_t num_frames() const { return num_frames_; }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  // Fetches served from a resident frame, including read_waits().
+  uint64_t hits() const { return SumShards(&Shard::hits); }
+  // Fetches that read the page from disk.
+  uint64_t misses() const { return SumShards(&Shard::misses); }
+  // Frames reclaimed from a resident page.
+  uint64_t evictions() const { return SumShards(&Shard::evictions); }
+  // Fetches that found the page's read in flight and waited for it.
+  uint64_t read_waits() const { return SumShards(&Shard::read_waits); }
 
  private:
   friend class PageGuard;
 
+  static constexpr size_t kNumShards = 64;
+
   struct Frame {
-    PageId page_id = kInvalidPageId;
+    // Written by the owner of a claimed frame and under the page's shard
+    // latch; read without a latch by the CLOCK sweep and flush scans.
+    std::atomic<PageId> page_id{kInvalidPageId};
     std::atomic<uint32_t> pin_count{0};
-    bool referenced = false;
-    // Atomic for the same reason as rec_lsn below: the checkpoint scan
-    // reads it under map_lock_ while MarkDirty sets it under the frame
-    // latch.
+    std::atomic<bool> referenced{false};
+    // True while the page is being read into the frame: fetchers that pin
+    // the frame wait for false (acquire) before touching its data.
+    std::atomic<bool> loading{false};
+    // Atomic because flush scans read it without the frame latch while
+    // MarkDirty sets it under the frame latch.
     std::atomic<bool> dirty{false};
     // LSN of the record that first dirtied this frame since it was last
     // clean (kInvalidLsn if no logged write since then) and the log
-    // partition of the most recent logged writer. Atomics because the
-    // checkpoint scan reads them under map_lock_ while writers mutate
-    // them under the frame latch — the values feed the redo horizon, so a
-    // torn read is a correctness bug, not noise. Relaxed ordering is
-    // enough: a scan that misses an in-flight store is covered by the
-    // writer transaction's undo-low pin (see ckpt/README.md).
+    // partition of its most recent logged writer. Atomics because the
+    // checkpoint scan reads them under the shard latch while writers
+    // mutate them under the frame latch — the values feed the redo
+    // horizon, so a torn read is a correctness bug, not noise. Relaxed
+    // ordering is enough: a scan that misses an in-flight store is covered
+    // by the writer transaction's undo-low pin (see ckpt/README.md).
     std::atomic<Lsn> rec_lsn{kInvalidLsn};
     std::atomic<uint32_t> writer_partition{kNoWriterPartition};
     RwLatch latch;
   };
+
+  // One slice of the page table. Counters are only written under `latch`
+  // (load + store, no read-modify-write) and read relaxed by the getters.
+  struct alignas(64) Shard {
+    TatasLock latch;
+    std::unordered_map<PageId, size_t> table;
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> evictions{0};
+    std::atomic<uint64_t> read_waits{0};
+  };
+
+  static void Bump(std::atomic<uint64_t>& c) {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  uint64_t SumShards(std::atomic<uint64_t> Shard::*counter) const {
+    uint64_t sum = 0;
+    for (const Shard& s : shards_) {
+      sum += (s.*counter).load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+
+  Shard& ShardOf(PageId page_id) {
+    // Fibonacci hashing: consecutive page ids land on different shards.
+    return shards_[(page_id * 0x9E3779B97F4A7C15ull) >> 58];
+  }
+  static_assert(kNumShards == 64, "ShardOf keeps the top 6 hash bits");
 
   // Reset a frame's dirty-tracking metadata (after write-back or discard).
   static void CleanFrame(Frame& f) {
@@ -183,9 +241,27 @@ class BufferPool {
     f.writer_partition.store(kNoWriterPartition, std::memory_order_relaxed);
   }
 
-  // Find a free or evictable frame; returns false if every frame is pinned.
-  // Called with map_lock_ held; may perform write-back I/O.
-  bool AllocateFrame(size_t* out_idx);
+  // Claim a free or evictable frame: on success the frame is unmapped,
+  // clean, and pinned once by the caller. Returns false if the sweep found
+  // nothing claimable (every frame pinned or unwritable). May write a dirty
+  // victim back; holds no shard latch across that I/O.
+  bool ClaimFrame(size_t* out_idx);
+
+  // Pin frame `idx` under its page's shard latch if it still holds a
+  // resident page and `pred(frame)` (called under that latch) agrees.
+  // Returns false if nothing was pinned.
+  template <typename Pred>
+  bool PinResident(size_t idx, Pred pred);
+
+  // Write a pinned frame back if it is dirty. The caller holds the frame
+  // read latch, so the disk image is a consistent page version and nobody
+  // can re-dirty the frame before its dirty state is cleared. Applies the
+  // WAL rule first and clears the dirty state only if the page write
+  // succeeded; `*wrote` reports whether a page was written.
+  Status WriteBack(size_t idx, bool* wrote);
+
+  // WriteBack under a freshly taken read latch, then drop the caller's pin.
+  Status FlushPinned(size_t idx, bool* wrote);
 
   void Unpin(size_t frame_idx);
 
@@ -196,16 +272,11 @@ class BufferPool {
   std::unique_ptr<uint8_t[]> slab_;
   std::unique_ptr<Frame[]> frames_;
 
-  TatasLock map_lock_;  // guards page_table_, frame metadata, clock hand
-  std::unordered_map<PageId, size_t> page_table_;
-  size_t clock_hand_ = 0;
+  Shard shards_[kNumShards];
+  std::atomic<size_t> clock_hand_{0};
 
   std::function<bool(Lsn)> wal_flush_;
   std::function<uint32_t()> partition_of_thread_;
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace doradb

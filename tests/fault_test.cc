@@ -10,7 +10,9 @@
 //  3. Torn writes (media died mid-record) are trimmed by recovery on both
 //     WAL backends: after reopen no acked commit is lost.
 //  4. A failed open degrades instead of aborting the process.
-//  5. A randomized chaos crash loop arms arbitrary fault plans across
+//  5. A failed page write-back keeps the page dirty and resident, so reads
+//     never fall back to a stale disk image.
+//  6. A randomized chaos crash loop arms arbitrary fault plans across
 //     process lifetimes and checks the durability contract each time.
 //
 // EngineHealth and FaultInjector are process singletons: every test resets
@@ -313,6 +315,60 @@ TEST(FaultTest, OpenFaultDegradesInsteadOfAborting) {
     EXPECT_FALSE(s.ok());
   }
   db.reset();  // destructor must tolerate the born-poisoned store
+}
+
+// ------------------------------------- failed page write-backs never lose
+
+TEST(FaultTest, FailedEvictionWriteBackKeepsCommittedUpdateVisible) {
+  InjectorGuard guard;
+  const std::string dir = TempFaultDir("evict_writeback");
+  Database::Options opts = DurableOpts(dir, LogBackendKind::kPartitioned);
+  opts.buffer_frames = 16;
+  auto db = std::make_unique<Database>(opts);
+  db->log_manager()->BindThisThread(0);
+  TableId table;
+  ASSERT_TRUE(db->catalog()->CreateTable("t", &table).ok());
+
+  // 200 rows of ~1 KB span far more heap pages than the pool has frames.
+  constexpr int kRows = 200;
+  const std::string pad(1000, 'p');
+  std::vector<Rid> rids(kRows);
+  {
+    auto txn = db->Begin();
+    for (int r = 0; r < kRows; ++r) {
+      ASSERT_TRUE(db->Insert(txn.get(), table, "old" + pad, &rids[r],
+                             AccessOptions::Baseline()).ok());
+    }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_TRUE(CommitValue(db.get(), table, rids[0], "new" + pad).ok());
+
+  // Every page write fails from here on. Reading the other rows forces
+  // evictions; the dirty page holding row 0 cannot be written back and
+  // must stay resident rather than be dropped for its stale disk image.
+  FaultPlan plan;
+  plan.op = FaultOp::kPwrite;
+  plan.err = EIO;
+  plan.sticky = true;
+  plan.path_substr = "pages.db";
+  FaultInjector::Default().Arm(plan);
+  const uint64_t evictions = db->buffer_pool()->evictions();
+  std::string out;
+  for (int r = 1; r < kRows; ++r) {
+    ASSERT_TRUE(db->catalog()->Heap(table)->Get(rids[r], &out).ok());
+  }
+  EXPECT_GT(db->buffer_pool()->evictions(), evictions);
+  EXPECT_GE(FaultInjector::Default().injected(), 1u)
+      << "the dirty page was never offered for write-back";
+
+  const Status s = db->catalog()->Heap(table)->Get(rids[0], &out);
+  if (s.ok()) {
+    EXPECT_EQ(out.substr(0, 3), "new") << "committed update lost from reads";
+  } else {
+    EXPECT_FALSE(s.IsNotFound()) << s.ToString();
+  }
+  db->SimulateKill();  // the medium is still failing; skip the final flush
 }
 
 // ------------------------------------------------------- chaos crash loop

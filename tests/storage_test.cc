@@ -296,6 +296,98 @@ TEST_F(BufferPoolTest, ConcurrentFetchStress) {
   EXPECT_FALSE(failed);
 }
 
+TEST_F(BufferPoolTest, ConcurrentMissesLoseNoWriteBack) {
+  // 64 pages through 16 frames: almost every fetch misses, so write-backs,
+  // concurrent loads of the same page and re-reads race constantly. Each
+  // page carries a counter; if a dirty victim were dropped unwritten, or a
+  // page were loaded into two frames at once, increments would vanish.
+  constexpr int kPages = 64;
+  constexpr size_t kCounterOff = 64;  // past every page header
+  auto counter = [](PageGuard& g) {
+    return reinterpret_cast<uint64_t*>(g.data() + kCounterOff);
+  };
+  auto fetch = [&](PageId pid, PageGuard* g) {
+    Status s;
+    while ((s = pool_.FetchPage(pid, g)).IsFull()) std::this_thread::yield();
+    return s;
+  };
+  std::vector<PageId> pids;
+  for (int i = 0; i < kPages; ++i) {
+    PageGuard g;
+    PageId pid;
+    ASSERT_TRUE(pool_.NewPage(&g, &pid).ok());
+    g.LatchExclusive();
+    g.AsSlotted().Init(pid, 0);
+    g.MarkDirty();
+    pids.push_back(pid);
+  }
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 1500;
+  std::atomic<uint64_t> increments{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters + kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      const bool writer = t < kWriters;
+      // Every thread walks the pages in the same order, so they keep
+      // arriving at the same missing page together.
+      for (int i = 0; i < kRounds; ++i) {
+        const PageId pid = pids[(i + t % 2) % kPages];
+        PageGuard g;
+        if (!fetch(pid, &g).ok()) {
+          failed = true;
+          return;
+        }
+        if (writer) {
+          g.LatchExclusive();
+          ++*counter(g);
+          g.MarkDirty();
+          increments.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          g.LatchShared();
+        }
+        if (g.AsSlotted().page_id() != pid) failed = true;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_FALSE(failed);
+  uint64_t sum = 0;
+  for (PageId pid : pids) {
+    PageGuard g;
+    ASSERT_TRUE(fetch(pid, &g).ok());
+    g.LatchShared();
+    sum += *counter(g);
+  }
+  EXPECT_EQ(sum, increments.load());
+  EXPECT_EQ(increments.load(), uint64_t{kWriters} * kRounds);
+  EXPECT_GT(pool_.evictions(), 0u);
+}
+
+TEST_F(BufferPoolTest, FailedFetchLeaksNoFrameOrMapping) {
+  // A page beyond the in-memory device cannot be read. Each failed fetch
+  // claims a frame and publishes a loading mapping; both must be undone,
+  // or 17 failures would exhaust the 16 frames.
+  constexpr PageId kBeyondDevice = 1u << 20;
+  for (size_t i = 0; i < pool_.num_frames() + 8; ++i) {
+    PageGuard g;
+    const Status s = pool_.FetchPage(kBeyondDevice, &g);
+    ASSERT_FALSE(s.ok());
+    EXPECT_FALSE(s.IsFull()) << "failed fetch leaked a frame: " << s.ToString();
+    EXPECT_FALSE(g.Valid());
+  }
+  std::vector<PageGuard> guards(pool_.num_frames());
+  for (PageGuard& g : guards) {
+    PageId pid;
+    ASSERT_TRUE(pool_.NewPage(&g, &pid).ok());
+  }
+  guards.clear();
+  PageGuard g;
+  EXPECT_FALSE(pool_.FetchPage(kBeyondDevice, &g).ok())
+      << "a failed read left a mapping behind";
+}
+
 // ------------------------------------------------------------------- HeapFile
 
 class HeapFileTest : public ::testing::Test {
