@@ -19,64 +19,33 @@ struct Peak {
   double at_load = 0;
 };
 
-// Epoch-batch threshold the batch-on DORA ladder runs at: the env value
-// when set, else a small default so the A/B stays meaningful with the env
-// knob unset.
-uint32_t BatchOnThreshold() {
-  const uint64_t env = EnvU64("DORADB_EPOCH_BATCH", 0);
-  return env != 0 ? static_cast<uint32_t>(env) : 4;
-}
-
 template <typename W>
 void FindPeaks(const char* label, W* workload, dora::DoraEngine* engine,
                int txn_type) {
-  // Three ladders on the same rig: Baseline, DORA with epoch batching off,
-  // DORA with epoch batching on — an interleaved A/B, so the batch-on and
-  // batch-off peaks see identical buffer-pool and allocator state.
-  Peak peaks[3];
-  double wakeups_per_action[3] = {0, 0, 0};
+  // Two ladders on the same rig: Baseline, then DORA.
+  Peak peaks[2];
   int i = 0;
   const auto s0 = engine->CollectInboxStats();
   RebalanceProbe rebalance;
-  // Skew over the DORA ladders only: constructed lazily at the first DORA
-  // point so the baseline sweep's idle executors don't dilute the window.
+  // Skew over the DORA ladder only: constructed at the first DORA point so
+  // the baseline sweep's idle executors don't dilute the window.
   std::unique_ptr<SkewProbe> skew;
-  // Group-size distribution over the batch-on ladder only.
-  std::unique_ptr<BatchProbe> batch;
-  struct Rung {
-    EngineKind kind;
-    uint32_t epoch_batch_min;
-  };
-  const Rung rungs[3] = {{EngineKind::kBaseline, 0},
-                         {EngineKind::kDora, 0},
-                         {EngineKind::kDora, BatchOnThreshold()}};
-  for (const Rung& rung : rungs) {
-    if (rung.kind == EngineKind::kDora) {
-      engine->set_epoch_batch_min(rung.epoch_batch_min);
-      if (skew == nullptr) skew = std::make_unique<SkewProbe>(engine);
-      if (rung.epoch_batch_min != 0) {
-        batch = std::make_unique<BatchProbe>(engine);
-      }
-    }
-    const auto ladder0 = engine->CollectInboxStats();
+  for (const EngineKind kind : {EngineKind::kBaseline, EngineKind::kDora}) {
+    if (kind == EngineKind::kDora) skew = std::make_unique<SkewProbe>(engine);
     for (uint32_t clients : ClientLadder()) {
       ThreadStats::ResetAll();
       const BenchResult r =
-          RunBench(workload, MakeConfig(rung.kind, engine, clients, txn_type));
+          RunBench(workload, MakeConfig(kind, engine, clients, txn_type));
       if (r.throughput_tps > peaks[i].tps) {
         peaks[i].tps = r.throughput_tps;
         peaks[i].at_load = r.offered_load_pct;
       }
     }
-    wakeups_per_action[i] =
-        (engine->CollectInboxStats() - ladder0).wakeups_per_action();
     ++i;
   }
-  std::printf("%-28s %10.0f @%4.0f%% %10.0f @%4.0f%% %8.2fx batched %.0f\n",
-              label, peaks[0].tps, peaks[0].at_load, peaks[1].tps,
-              peaks[1].at_load,
-              peaks[0].tps > 0 ? peaks[1].tps / peaks[0].tps : 0.0,
-              peaks[2].tps);
+  std::printf("%-28s %10.0f @%4.0f%% %10.0f @%4.0f%% %8.2fx\n", label,
+              peaks[0].tps, peaks[0].at_load, peaks[1].tps, peaks[1].at_load,
+              peaks[0].tps > 0 ? peaks[1].tps / peaks[0].tps : 0.0);
   PrintInboxStats(engine->CollectInboxStats() - s0);
   JsonRow row;
   row.Str("workload", label)
@@ -84,15 +53,8 @@ void FindPeaks(const char* label, W* workload, dora::DoraEngine* engine,
       .Num("base_peak_load_pct", peaks[0].at_load)
       .Num("dora_peak_tps", peaks[1].tps)
       .Num("dora_peak_load_pct", peaks[1].at_load)
-      .Num("speedup", peaks[0].tps > 0 ? peaks[1].tps / peaks[0].tps : 0)
-      .Num("dora_batch_peak_tps", peaks[2].tps)
-      .Num("dora_batch_peak_load_pct", peaks[2].at_load)
-      .Num("batch_speedup",
-           peaks[1].tps > 0 ? peaks[2].tps / peaks[1].tps : 0)
-      .Num("nobatch_wakeups_per_action", wakeups_per_action[1])
-      .Num("batch_wakeups_per_action", wakeups_per_action[2])
-      .Int("batch_group_p50", batch != nullptr ? batch->GroupP50() : 0);
-  if (skew != nullptr) skew->Fold(&row);
+      .Num("speedup", peaks[0].tps > 0 ? peaks[1].tps / peaks[0].tps : 0);
+  skew->Fold(&row);
   rebalance.Fold(&row);
   BenchJson::Default().Add(row);
 }
@@ -101,8 +63,8 @@ void FindPeaks(const char* label, W* workload, dora::DoraEngine* engine,
 
 int main() {
   PrintHeader("Figure 8", "peak throughput under perfect admission control");
-  std::printf("\n%-28s %17s %17s %9s %9s\n", "workload", "BASE peak",
-              "DORA peak", "DORA/BASE", "BATCHED");
+  std::printf("\n%-28s %17s %17s %9s\n", "workload", "BASE peak",
+              "DORA peak", "DORA/BASE");
   {
     auto tm1 = MakeTm1();
     FindPeaks("TM1 (mix)", tm1.workload.get(), tm1.engine.get(), -1);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Schema-check the live stats reporter's output.
 
-Usage: check_metrics_json.py [--require-batching] <logfile> [logfile...]
+Usage: check_metrics_json.py [--require-rebalance] <logfile> [logfile...]
 
 Scans each log for "DORADB_STATS {json}" lines (the StatsReporter's
 format, normally on stderr) and fails if:
@@ -38,14 +38,6 @@ Also validates:
     as well-formed JSON with a "bench" name and a "rows" array,
 so redirected smoke logs get every machine format checked.
 
-With --require-batching (for smokes run under DORADB_EPOCH_BATCH), the
-epoch-batched execution path must also have left evidence:
-  * some "dora.exec.<n>.batch.group_size" histogram with count > 0
-    (at least one executor formed key-sorted groups);
-  * "log.bulk_reservations" counter > 0 (epoch closes took the one-
-    reservation-per-group commit append);
-  * "btree.descents_saved" counter present (leaf-cursor probes armed).
-
 With --require-rebalance (for smokes run under DORADB_REBALANCE=1 on a
 skewed workload), the live-repartitioning path must have left evidence:
   * "dora.rebalance.splits" or "dora.rebalance.moved_ranges" counter > 0
@@ -58,7 +50,6 @@ skewed workload), the live-repartitioning path must have left evidence:
 """
 
 import json
-import re
 import sys
 
 STATS_PREFIX = "DORADB_STATS "
@@ -80,7 +71,6 @@ REQUIRED_HEALTH_METRICS = ("engine.health_state", "log.io_retries",
 REQUIRED_TXN_METRICS = ("txn.read_only_commits",)
 REQUIRED_POOL_METRICS = ("pool.hits", "pool.misses", "pool.evictions",
                          "pool.read_waits")
-BATCH_GROUP_RE = re.compile(r"^dora\.exec\.\d+\.batch\.group_size$")
 
 
 def check_histogram(where, name, m, errors):
@@ -133,7 +123,7 @@ def check_stats_payload(where, payload, errors, seen_names, seen_values):
             check_histogram(where, name, m, errors)
         seen_names.add(name)
         # High-water mark per metric: counters/gauges by value, histograms
-        # by sample count (what the --require-batching evidence checks use).
+        # by sample count (what the --require-rebalance evidence checks use).
         peak = m.get("value") if mtype in ("counter", "gauge") \
             else m.get("count")
         if isinstance(peak, int):
@@ -196,11 +186,7 @@ def check_rebalance_payload(where, payload, errors):
                           f"outside [0,1]")
 
 
-BATCH_AB_FIELDS = ("dora_batch_peak_tps", "batch_speedup", "batch_group_p50",
-                   "batch_wakeups_per_action", "nobatch_wakeups_per_action")
-
-
-def check_bench_payload(where, payload, errors, require_batching):
+def check_bench_payload(where, payload, errors):
     try:
         obj = json.loads(payload)
     except json.JSONDecodeError as e:
@@ -210,25 +196,12 @@ def check_bench_payload(where, payload, errors, require_batching):
         errors.append(f"{where}: BENCH_JSON lacks string 'bench'")
     if not isinstance(obj.get("rows"), list):
         errors.append(f"{where}: BENCH_JSON lacks 'rows' array")
-        return
-    # The batching smoke runs fig8's interleaved batch-off/batch-on A/B;
-    # every row must carry the A/B fields with numeric values.
-    if require_batching and obj.get("bench") == "fig8_peak_throughput":
-        for r, row in enumerate(obj["rows"]):
-            if not isinstance(row, dict):
-                continue
-            for field in BATCH_AB_FIELDS:
-                if not isinstance(row.get(field), (int, float)):
-                    errors.append(f"{where}: fig8 row {r} lacks numeric "
-                                  f"{field!r} (batching A/B fields missing)")
 
 
 def main(argv):
     args = argv[1:]
-    require_batching = "--require-batching" in args
     require_rebalance = "--require-rebalance" in args
-    args = [a for a in args
-            if a not in ("--require-batching", "--require-rebalance")]
+    args = [a for a in args if a != "--require-rebalance"]
     if not args:
         print(__doc__)
         return 2
@@ -263,7 +236,7 @@ def main(argv):
                 elif line.startswith(BENCH_PREFIX):
                     bench_lines += 1
                     check_bench_payload(where, line[len(BENCH_PREFIX):],
-                                        errors, require_batching)
+                                        errors)
     if stats_lines == 0:
         errors.append("no DORADB_STATS lines found (reporter never fired?)")
     else:
@@ -285,19 +258,6 @@ def main(argv):
         if seen_reasons and "final" not in seen_reasons:
             errors.append("reporter lines carry reasons but no 'final' line "
                           "(Stop() flush missing?)")
-    if require_batching:
-        if not any(BATCH_GROUP_RE.match(n) and seen_values.get(n, 0) > 0
-                   for n in seen_names):
-            errors.append("--require-batching: no dora.exec.<n>.batch."
-                          "group_size histogram ever reported samples "
-                          "(epoch batching never formed a group?)")
-        if seen_values.get("log.bulk_reservations", 0) <= 0:
-            errors.append("--require-batching: log.bulk_reservations never "
-                          "went positive (epoch closes not taking the bulk "
-                          "commit append?)")
-        if "btree.descents_saved" not in seen_names:
-            errors.append("--require-batching: btree.descents_saved counter "
-                          "never reported (leaf-cursor probes unarmed?)")
     if require_rebalance:
         migrated = (seen_values.get("dora.rebalance.splits", 0) > 0 or
                     seen_values.get("dora.rebalance.moved_ranges", 0) > 0)

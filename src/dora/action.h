@@ -24,7 +24,6 @@
 #include <memory>
 #include <mutex>
 #include <new>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -52,21 +51,15 @@ struct ActionEnv {
   Transaction* txn;
   DoraTxn* dtxn;
   Executor* self;
-
-  // Index probe routed through the executor's leaf-cursor cache: inside an
-  // epoch batch, sorted neighbor keys resolve from one B+Tree descent
-  // (storage/btree.h LeafCursor). Falls back to a plain Probe when epoch
-  // batching is off. Defined in action.cc (needs Executor).
-  Status Probe(IndexId index, std::string_view key, IndexEntry* out) const;
 };
 
 // Fixed-capacity, allocation-free callable holding an action body. The
-// std::function it replaces heap-allocated every capture over two words —
-// and with epoch batching, dispatch is the per-request hot path. Captures
-// live inline (kCapacity bytes covers the largest workload capture, TPC-C
-// NewOrder's input struct + line index vector) and dispatch goes through a
-// per-capture-type static op table. Move-only, like the unique captures it
-// stores; moves relocate the capture, so Action vectors recycle cleanly.
+// std::function it replaces heap-allocated every capture over two words on
+// the per-request dispatch path. Captures live inline (kCapacity bytes
+// covers the largest workload capture, TPC-C NewOrder's input struct + line
+// index vector) and dispatch goes through a per-capture-type static op
+// table. Move-only, like the unique captures it stores; moves relocate the
+// capture, so Action vectors recycle cleanly.
 class ActionBody {
  public:
   static constexpr size_t kCapacity = 256;
@@ -249,7 +242,7 @@ class FlowGraph {
   }
 
   // §A.4: derive the serial plan — each action in its own phase, in order.
-  // The resource manager switches high-abort transactions to this plan
+  // The plan advisor switches high-abort transactions to this plan
   // ("inserting empty rendezvous points between actions of the same phase").
   FlowGraph Serialized() &&;
 

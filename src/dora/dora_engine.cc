@@ -17,9 +17,7 @@ namespace doradb {
 namespace dora {
 
 DoraEngine::DoraEngine(Database* db, Options options)
-    : db_(db),
-      options_(options),
-      epoch_batch_min_(options.epoch_batch_min) {}
+    : db_(db), options_(options) {}
 
 DoraEngine::~DoraEngine() { Stop(); }
 
@@ -177,12 +175,6 @@ void DoraEngine::Start() {
      }, kCtr, "wakes");
   cb("dora.actions.executed", [this] {
        return static_cast<int64_t>(CollectInboxStats().actions);
-     }, kCtr, "actions");
-  cb("dora.epoch.groups", [this] {
-       return static_cast<int64_t>(CollectInboxStats().epoch_groups);
-     }, kCtr, "groups");
-  cb("dora.epoch.actions", [this] {
-       return static_cast<int64_t>(CollectInboxStats().epoch_actions);
      }, kCtr, "actions");
   // Per-executor load signals — the direct prerequisite for the ROADMAP's
   // live-repartitioning item: depth says "queued now", load says "served
@@ -513,42 +505,28 @@ void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
   dtxn->Complete(s);
 }
 
-void DoraEngine::QueueAcks(DoraTxn* const* dtxns, const Lsn* lsns,
-                           size_t n) {
-  if (n == 0) return;
-  // The commit records went to this thread's bound partition; its ack
+void DoraEngine::QueueAck(DoraTxn* dtxn, Lsn lsn) {
+  // The commit record went to this thread's bound partition; its ack
   // queue lives at slot partition/shards of shard partition%shards.
   const uint32_t partition = db_->log_manager()->CurrentPartition() %
                              db_->log_manager()->num_partitions();
   const uint32_t shards = static_cast<uint32_t>(ack_shards_.size());
   AckShard* shard = ack_shards_[partition % shards].get();
+  dtxn->Ref();  // the ack queue's reference
   {
     std::lock_guard<std::mutex> g(shard->mu);
-    auto& queue = shard->queues[partition / shards].second;
-    for (size_t i = 0; i < n; ++i) {
-      dtxns[i]->Ref();  // the ack queue's reference
-      queue.push_back(CommitAck{dtxns[i], lsns[i]});
-    }
+    shard->queues[partition / shards].second.push_back(CommitAck{dtxn, lsn});
   }
   shard->cv.notify_one();
 }
 
-void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
+void DoraEngine::FinishTxn(DoraTxn* dtxn) {
   // A degraded engine takes the synchronous fallback below: Database::
   // Commit handles the read-only/rollback split and surfaces the typed
   // Unavailable — pipelining a commit that can never become durable would
   // only park it in an ack queue to fail later.
   if (!dtxn->aborted() && options_.pipelined_commit && !ack_shards_.empty() &&
       !obs::EngineHealth::Default().degraded()) {
-    // Mid-epoch finish: park the commit for the epoch-close bulk append.
-    // Locks stay held until CommitEpoch's fan-out — which runs AFTER the
-    // epoch's GSNs are drawn, preserving the dependent-GSN ordering ELR
-    // relies on. Bounded deferral: the epoch closes within this same
-    // ProcessInbox iteration.
-    if (self != nullptr && self->epoch_capture_) {
-      self->epoch_commits_.push_back(dtxn);
-      return;
-    }
     // Pipelined commit (§5.4 flush pipelining + ELR): append the commit
     // record, release thread-local locks immediately, queue the ack, and
     // let this executor pick up its next action instead of stalling in
@@ -574,7 +552,7 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
       FinalizeInline(dtxn);
       return;
     }
-    QueueAcks(&dtxn, &commit_lsn, 1);
+    QueueAck(dtxn, commit_lsn);
     return;
   }
 
@@ -623,67 +601,6 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* self) {
     obs::StageGapProfiler::RecordTxn(dtxn->prof);
   }
   dtxn->Complete(std::move(final_status));
-}
-
-void DoraEngine::CommitEpoch(Executor* self) {
-  auto& dtxns = self->epoch_commits_;
-  const size_t n = dtxns.size();
-  if (n == 0) return;
-  auto& lsns = self->commit_lsns_;
-  lsns.resize(n);
-  // Writers first, then readers. The readers' commit (no record, the
-  // early-release horizon as their LSN) runs before this epoch's writers
-  // raise the horizon: those writers still hold every lock they took, so
-  // no reader here can have read their writes.
-  const size_t writers = static_cast<size_t>(
-      std::partition(dtxns.begin(), dtxns.end(),
-                     [](DoraTxn* t) { return t->txn()->logged_work(); }) -
-      dtxns.begin());
-  for (size_t i = writers; i < n; ++i) {
-    lsns[i] = db_->CommitAsync(dtxns[i]->txn());
-  }
-  if (writers != 0) {
-    // One log-buffer reservation (log.bulk_reservations) and one
-    // durability point cover the epoch's commit records.
-    self->commit_txns_.resize(writers);
-    for (size_t i = 0; i < writers; ++i) {
-      self->commit_txns_[i] = dtxns[i]->txn();
-    }
-    const Lsn epoch_lsn =
-        db_->CommitAsyncBulk(self->commit_txns_.data(), writers,
-                             self->commit_recs_, self->commit_rec_ptrs_);
-    std::fill(lsns.begin(), lsns.begin() + writers, epoch_lsn);
-    // Early lock release for the whole epoch — only now, with every
-    // commit GSN drawn and published, so any transaction that acquires
-    // these locks afterwards draws a strictly larger GSN and reads a
-    // horizon that covers this epoch.
-    db_->RaiseEarlyReleaseHorizon(epoch_lsn);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    obs::CommitTracer::Stamp(dtxns[i]->txn()->id(),
-                             obs::TraceStage::kCommitAppend);
-    if (dtxns[i]->prof.armed) {
-      dtxns[i]->prof.Stamp(obs::TraceStage::kCommitAppend);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) FanOutCompletions(dtxns[i]);
-  // Epoch-granular ack: one horizon read decides the whole batch. Covered
-  // commits finalize inline; the rest are compacted to the front and take
-  // one batched handoff (single lock, single wake) to this executor's
-  // bound ack queue.
-  const Lsn flushed = db_->log_manager()->flushed_lsn();
-  size_t pending = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (lsns[i] <= flushed) {
-      FinalizeInline(dtxns[i]);
-    } else {
-      dtxns[pending] = dtxns[i];
-      lsns[pending] = lsns[i];
-      ++pending;
-    }
-  }
-  QueueAcks(dtxns.data(), lsns.data(), pending);
-  dtxns.clear();
 }
 
 namespace {
@@ -809,19 +726,6 @@ Status DoraEngine::MigrateRoutingRule(TableId table,
   return Status::OK();
 }
 
-Status DoraEngine::Rebalance(TableId table,
-                             std::shared_ptr<const RoutingRule> rule) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::InvalidArgument("unknown table");
-  auto current = it->second->routing.Current();
-  if (rule->version <= current->version) {
-    auto stamped = std::make_shared<RoutingRule>(*rule);
-    stamped->version = current->version + 1;
-    rule = std::move(stamped);
-  }
-  return MigrateRoutingRule(table, std::move(rule));
-}
-
 DoraEngine::InboxStats DoraEngine::CollectInboxStats() const {
   InboxStats s;
   for (const auto& [table, group] : tables_) {
@@ -830,8 +734,6 @@ DoraEngine::InboxStats DoraEngine::CollectInboxStats() const {
       s.items += e->inbox_items();
       s.wakeups += e->inbox_wakeups();
       s.actions += e->actions_executed();
-      s.epoch_groups += e->epoch_groups();
-      s.epoch_actions += e->epoch_group_actions();
     }
   }
   s.tickets = tickets_.issued();

@@ -67,17 +67,7 @@ class DoraEngine {
     // horizon: a dependent txn's commit always carries a larger GSN, so it
     // can never be acknowledged before the txn it read from.
     bool pipelined_commit = false;
-    // Epoch-batched execution (bench env: DORADB_EPOCH_BATCH). 0 = off.
-    // Nonzero: a drain delivering at least this many unticketed actions is
-    // executed as one epoch — granted actions run key-sorted (amortizing
-    // B+Tree descents through per-executor leaf cursors), and every
-    // pipelined commit that finishes inside the epoch is appended with a
-    // single log-buffer reservation and acknowledged through one batched
-    // ack handoff. Drains below the threshold take the per-action path
-    // unchanged, so low-load latency keeps the non-batched profile.
-    // Runtime-adjustable via set_epoch_batch_min (benchmarks A/B on one
-    // rig).
-    uint32_t epoch_batch_min = 0;
+    uint32_t epoch_batch_min = 0;  // inert: nothing reads it; perfbench sets it
   };
 
   // Inbox / arena / ticket counters, aggregated over all executors.
@@ -89,8 +79,6 @@ class DoraEngine {
     uint64_t tickets = 0;        // multi-queue dispatches issued
     uint64_t arena_allocs = 0;   // DoraTxn contexts ever constructed
     uint64_t arena_recycles = 0; // contexts returned for reuse
-    uint64_t epoch_groups = 0;   // key-sorted epoch groups executed
-    uint64_t epoch_actions = 0;  // actions those groups carried
 
     InboxStats operator-(const InboxStats& rhs) const {
       InboxStats d;
@@ -101,8 +89,6 @@ class DoraEngine {
       d.tickets = tickets - rhs.tickets;
       d.arena_allocs = arena_allocs - rhs.arena_allocs;
       d.arena_recycles = arena_recycles - rhs.arena_recycles;
-      d.epoch_groups = epoch_groups - rhs.epoch_groups;
-      d.epoch_actions = epoch_actions - rhs.epoch_actions;
       return d;
     }
     double actions_per_drain() const {
@@ -187,23 +173,8 @@ class DoraEngine {
                             std::shared_ptr<const RoutingRule> rule,
                             uint64_t* fence_wait_ns = nullptr);
 
-  // Legacy entry (resource manager, tests): stamps version = current + 1
-  // when the caller left it unset or stale, then migrates as above.
-  Status Rebalance(TableId table, std::shared_ptr<const RoutingRule> rule);
-
   const Options& options() const { return options_; }
   TicketLine& tickets() { return tickets_; }
-
-  // Live epoch-batching threshold (seeded from Options::epoch_batch_min).
-  // Mutable at runtime: executors read it per drain, so benchmarks can A/B
-  // batching on one warmed-up rig and the adaptive threshold can be tuned
-  // without a restart. 0 disables batching.
-  uint32_t epoch_batch_min() const {
-    return epoch_batch_min_.load(std::memory_order_relaxed);
-  }
-  void set_epoch_batch_min(uint32_t v) {
-    epoch_batch_min_.store(v, std::memory_order_relaxed);
-  }
 
   // First error parked by RegisterTable's catalog write-through (OK when
   // every registration persisted). Run() refuses with it, so a durable
@@ -223,21 +194,8 @@ class DoraEngine {
   void Redispatch(Action* a);
 
   // Commit/abort + completion fan-out; runs on the executor that zeroed the
-  // terminal (or aborting) RVP. `self` is that executor (null when called
-  // off-executor, e.g. from tests): while it is mid-epoch, pipelined
-  // commits are parked in its epoch_commits_ and appended together at
-  // epoch close (CommitEpoch) instead of one reservation each.
-  void FinishTxn(DoraTxn* dtxn, Executor* self = nullptr);
-
-  // Close `self`'s epoch: commit the deferred readers (no record, the
-  // early-release horizon as their LSN), bulk-append the writers' commit
-  // records (one log-buffer reservation) and raise the horizon to the
-  // epoch's durability point, then fan out completions and acknowledge —
-  // inline for commits the flush horizon already covers, else one batched
-  // handoff to the executor's ack queue. The horizon is raised BEFORE any
-  // of the epoch's locks release, so a transaction admitted afterwards
-  // depends on this epoch's durability whether it writes or only reads.
-  void CommitEpoch(Executor* self);
+  // terminal (or aborting) RVP.
+  void FinishTxn(DoraTxn* dtxn);
 
   // --- stats ---
   uint64_t txns_committed() const {
@@ -260,8 +218,6 @@ class DoraEngine {
   std::vector<Executor*> AllExecutors() const;
 
  private:
-  friend class Executor;
-
   // One commit-ack queue per log partition (§5.4 flush pipelining): FIFO
   // of transactions whose commit record is appended but not yet stable.
   // Queues are grouped into shards, one daemon thread each; the shard
@@ -287,14 +243,13 @@ class DoraEngine {
   // executor that ran one of its actions so they release local locks.
   // Each message carries one reference on the context.
   void FanOutCompletions(DoraTxn* dtxn);
-  // Hand `n` commits whose LSNs the flush horizon does not cover yet to
-  // the ack queue of this thread's bound log partition: one lock, one
-  // wake. Takes the queue's reference on each context.
-  void QueueAcks(DoraTxn* const* dtxns, const Lsn* lsns, size_t n);
+  // Hand a commit whose LSN the flush horizon does not cover yet to the
+  // ack queue of this thread's bound log partition. Takes the queue's
+  // reference on the context.
+  void QueueAck(DoraTxn* dtxn, Lsn lsn);
   // Durable-now finalize for a pipelined commit acknowledged on the
   // executor (no ack-daemon round trip): CommitFinalize + counters +
-  // latency histogram + client completion. Shared by FinishTxn's inline
-  // fast path and CommitEpoch's covered prefix.
+  // latency histogram + client completion.
   void FinalizeInline(DoraTxn* dtxn);
 
   struct TableGroup {
@@ -306,8 +261,6 @@ class DoraEngine {
 
   Database* const db_;
   const Options options_;
-  // Live mirror of Options::epoch_batch_min (see epoch_batch_min()).
-  std::atomic<uint32_t> epoch_batch_min_;
   bool started_ = false;
   Status registration_status_;
 

@@ -3,7 +3,9 @@
 // actions and completion messages, and a thread-local lock table. Actions
 // are served FIFO; conflicting actions park in the local lock table and
 // resume when the blocking transaction's completion message releases its
-// locks.
+// locks. A granted action runs at once, one at a time (§4.1-4.2); the
+// executor that zeroes a transaction's terminal RVP commits it through the
+// per-transaction path (DoraEngine::FinishTxn).
 //
 // Inbox protocol: producers (dispatchers and other executors) push with
 // one CAS; this thread drains the whole list per iteration and parks on a
@@ -13,25 +15,12 @@
 // ticketed actions are deferred until the published horizon covers them
 // and then admitted in ticket order, preserving the §4.2.3 atomic-enqueue
 // guarantee without latching any queue.
-//
-// Epoch-batched execution (DoraEngine::Options::epoch_batch_min): when a
-// drain's backlog (unticketed ready actions plus the ticket-covered
-// deferred prefix) reaches that threshold, the executor admits everything
-// exactly as usual — FIFO, then ticket order — but executes the GRANTED
-// subset as one key-sorted run, amortizing B+Tree descents via per-index
-// leaf cursors (ProbeIndex), and closes the epoch with one bulk
-// commit-record append plus batched acks for every transaction that
-// finished inside it. Lock ADMISSION order is untouched (deadlock freedom
-// and ticket ordering rest on admission, not execution, order; granted
-// actions of distinct transactions can never conflict), so reordering
-// execution is free. See src/dora/README.md for the full argument.
 
 #ifndef DORADB_DORA_EXECUTOR_H_
 #define DORADB_DORA_EXECUTOR_H_
 
 #include <atomic>
 #include <memory>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -39,7 +28,6 @@
 #include "dora/local_lock_table.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
-#include "storage/btree.h"
 #include "util/mpsc_queue.h"
 
 namespace doradb {
@@ -86,7 +74,7 @@ class Executor {
   }
   // Producer-side futex wakes (pushes that found this executor parked).
   uint64_t inbox_wakeups() const { return inbox_.wakeups(); }
-  // Load metric for the resource manager.
+  // Actions admitted so far (dora.exec.<g>.load).
   uint64_t load_counter() const {
     return load_counter_.load(std::memory_order_relaxed);
   }
@@ -112,28 +100,8 @@ class Executor {
   // Per-executor queue-wait histogram (dora.exec.<g>.queue_wait_ns);
   // the heatmap computes windowed p99 from its bucket deltas.
   const Histogram* queue_wait_hist() const { return queue_wait_hist_; }
-  // Per-executor epoch group-size histogram
-  // (dora.exec.<g>.batch.group_size); benches fold windowed percentiles
-  // from its bucket deltas.
-  const Histogram* batch_group_hist() const { return batch_group_hist_; }
-  // Epoch-batched execution counters: key-sorted groups formed and the
-  // actions they carried (0/0 while batching is off or load stays under
-  // the threshold).
-  uint64_t epoch_groups() const {
-    return epoch_groups_.load(std::memory_order_relaxed);
-  }
-  uint64_t epoch_group_actions() const {
-    return epoch_group_actions_.load(std::memory_order_relaxed);
-  }
-
-  // Index probe on behalf of an action body (ActionEnv::Probe). With epoch
-  // batching on, routes through this executor's per-index leaf cursor so
-  // the key-sorted actions of a group amortize one B+Tree descent across
-  // neighboring keys; otherwise a plain BTree::Probe. Executor-thread only.
-  Status ProbeIndex(IndexId index, std::string_view key, IndexEntry* out);
 
  private:
-  friend class DoraEngine;
 
   void Loop();
   // Split a drained chain into completions / ready / deferred.
@@ -153,18 +121,6 @@ class Executor {
   // Run the body (unless the txn already aborted) and report to the RVP.
   void ExecuteGranted(Action* a);
   void ReportToRvp(Action* a);
-  // Epoch batch (QueCC-style): sort the captured granted actions by
-  // (table, routing value), record group sizes, execute them as tight
-  // per-group loops. Runs with epoch_capture_ set so FinishTxn defers
-  // pipelined commits into epoch_commits_.
-  void ExecuteEpochRun();
-  // Close the epoch: one bulk commit-record append for every deferred
-  // commit, then fan-out + acks (DoraEngine::CommitEpoch).
-  void CloseEpoch();
-  // Execute the captured run and close the epoch, if one is open. Called
-  // at every ProcessInbox exit point so commits and lock releases are
-  // never deferred past the batch that produced them.
-  void FlushEpoch();
 
   DoraEngine* const engine_;
   Database* const db_;
@@ -182,29 +138,6 @@ class Executor {
   std::vector<Action*> deferred_;  // ticketed, sorted by ticket (stable)
   std::vector<Action*> runnable_;
 
-  // Epoch-batch state (executor thread only). While epoch_capture_ is set,
-  // AdmitAction collects granted actions into epoch_run_ instead of
-  // executing them, and FinishTxn parks pipelined commits in
-  // epoch_commits_ for the epoch-close bulk append.
-  bool epoch_capture_ = false;
-  std::vector<Action*> epoch_run_;
-  std::vector<DoraTxn*> epoch_commits_;
-  // CommitEpoch scratch (capacities survive across epochs).
-  std::vector<Transaction*> commit_txns_;
-  std::vector<Lsn> commit_lsns_;
-  std::vector<LogRecord> commit_recs_;
-  std::vector<LogRecord*> commit_rec_ptrs_;
-
-  // Per-index leaf cursors for ProbeIndex. An executor serves one table —
-  // a handful of indexes — so a linear-scanned fixed-cap vector beats any
-  // map; overflow indexes simply take the uncached descent.
-  static constexpr size_t kMaxCursors = 4;
-  struct IndexCursor {
-    IndexId index;
-    LeafCursor cursor;
-  };
-  std::vector<IndexCursor> cursors_;
-
   LocalLockTable locks_;  // executor-private: no latching
 
   std::thread thread_;
@@ -214,8 +147,6 @@ class Executor {
   std::atomic<uint64_t> items_{0};
   std::atomic<uint64_t> pushed_{0};
   std::atomic<uint64_t> busy_cycles_{0};
-  std::atomic<uint64_t> epoch_groups_{0};
-  std::atomic<uint64_t> epoch_group_actions_{0};
 
   // Watchdog heartbeat, registered for the lifetime of Loop(). Only this
   // thread writes through it; the watchdog reads via table snapshots.
@@ -227,7 +158,6 @@ class Executor {
   Histogram* batch_size_hist_;      // dora.inbox.batch_size
   Histogram* drain_wait_hist_;      // dora.inbox.drain_wait_ns
   Histogram* queue_wait_hist_;      // dora.exec.<g>.queue_wait_ns
-  Histogram* batch_group_hist_;     // dora.exec.<g>.batch.group_size
   obs::Counter* ticket_deferred_;   // dora.tickets.deferred
 };
 

@@ -327,26 +327,6 @@ Lsn Database::CommitAsync(Transaction* txn) {
   return txn->ChainAppend(log_.get(), &rec);
 }
 
-Lsn Database::CommitAsyncBulk(Transaction* const* txns, size_t n,
-                              std::vector<LogRecord>& recs,
-                              std::vector<LogRecord*>& ptrs) {
-  recs.resize(n);
-  ptrs.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    recs[i] = LogRecord();
-    recs[i].type = LogType::kCommit;
-    recs[i].txn = txns[i]->id();
-    recs[i].prev_lsn = txns[i]->last_lsn();
-    ptrs[i] = &recs[i];
-  }
-  // The last record's durability point covers the whole batch. A
-  // record's own LSN is not one on the central log, where it is the
-  // record's start offset.
-  const Lsn durable = log_->AppendBulk(ptrs.data(), n);
-  for (size_t i = 0; i < n; ++i) txns[i]->set_last_lsn(recs[i].lsn);
-  return durable;
-}
-
 Status Database::CommitFinalize(Transaction* txn) {
   // Post-commit work, outside the transaction: physical frees of deleted
   // slots and DORA's secondary-index delete flagging (§4.2.2).

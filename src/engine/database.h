@@ -163,8 +163,8 @@ class Database {
   Status CommitFinalize(Transaction* txn);
 
   // Early lock release: a caller about to release a transaction's locks
-  // before its commit LSN `commit_lsn` is durable (DORA's pipelined and
-  // epoch commit paths) raises this database's early-release horizon to
+  // before its commit LSN `commit_lsn` is durable (DORA's pipelined
+  // commit path) raises this database's early-release horizon to
   // it first. The horizon is monotonic; any transaction that reads the
   // released data therefore reads a horizon at or above `commit_lsn`
   // afterwards. Paths that hold locks until durability (Database::Commit,
@@ -185,19 +185,6 @@ class Database {
   // wrong); releases locks, retires the handle, and returns `why` so the
   // caller surfaces the typed error to the client.
   Status CommitIndeterminate(Transaction* txn, Status why);
-
-  // Bulk CommitAsync for DORA's epoch-batched commit path: builds all n
-  // commit records and hands them to the log backend in ONE AppendBulk
-  // call (one buffer-latch reservation on the plog). Returns the one LSN
-  // whose durability makes every one of the n commits final. Caller
-  // contract: every transaction has logged work (readers take
-  // CommitAsync) and is quiescent — its terminal action finished, so no
-  // sibling is appending to its chain concurrently (the per-txn chain
-  // lock is not taken). `recs` and `ptrs` are caller-owned scratch reused
-  // across calls.
-  Lsn CommitAsyncBulk(Transaction* const* txns, size_t n,
-                      std::vector<LogRecord>& recs,
-                      std::vector<LogRecord*>& ptrs);
 
   // Abort: roll back heap ops via the in-memory undo chain (logging CLRs),
   // reverse index ops logically, release locks.

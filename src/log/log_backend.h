@@ -33,19 +33,6 @@ class LogBackend {
   // covered by flushed_lsn(), makes the record durable.
   virtual Lsn Append(LogRecord* rec) = 0;
 
-  // Append `n` records in one call, assigning each rec->lsn in array
-  // order; returns the last (largest) assigned LSN, or kInvalidLsn when
-  // n == 0. Backends with a per-stream reservation cost override this to
-  // pay it once for the whole batch (the plog takes its partition buffer
-  // latch once); the default is a plain loop with identical semantics.
-  // DORA's epoch-batched commit path funnels one executor epoch's commit
-  // records through here.
-  virtual Lsn AppendBulk(LogRecord* const* recs, size_t n) {
-    Lsn last = kInvalidLsn;
-    for (size_t i = 0; i < n; ++i) last = Append(recs[i]);
-    return last;
-  }
-
   // Block until everything up to `lsn` is stable (group commit wait).
   // Returns Unavailable when the stable medium is poisoned (a failed
   // durability point — see LogStorage::poisoned()) and the horizon can

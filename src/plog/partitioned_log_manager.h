@@ -66,7 +66,6 @@ class PartitionedLogManager final : public LogBackend {
   PartitionedLogManager& operator=(const PartitionedLogManager&) = delete;
 
   Lsn Append(LogRecord* rec) override;
-  Lsn AppendBulk(LogRecord* const* recs, size_t n) override;
   Status WaitFlushed(Lsn lsn) override;
   Status FlushTo(Lsn lsn) override { return WaitFlushed(lsn); }
   Status WaitFlushedFrom(uint32_t partition_hint, Lsn lsn) override;

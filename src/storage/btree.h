@@ -98,29 +98,6 @@ struct IndexEntry {
   bool deleted = false;  // §4.2.2 deleted flag
 };
 
-// Memoized descent target for ProbeCached. A cursor remembers the leaf a
-// previous probe landed on plus the key range that leaf covered and the
-// tree's structure version at that time. A later probe for a key inside
-// the remembered range can latch the leaf directly — skipping the root-to-
-// leaf descent — as long as no split or root growth happened since
-// (structure_version_ is only bumped by structure modifications, which run
-// under the exclusive tree latch; there are no merges, so separator ranges
-// never shrink any other way). Epoch-batched DORA executors keep one
-// cursor per index: a drained batch sorted by key resolves neighbors from
-// a single descent.
-struct LeafCursor {
-  PageId leaf = kInvalidPageId;
-  uint64_t version = 0;
-  uint8_t lo_len = 0;
-  uint8_t hi_len = 0;
-  bool rightmost = false;  // leaf had no right sibling at fill time
-  uint8_t lo[kMaxKeySize];
-  uint8_t hi[kMaxKeySize];
-
-  bool Valid() const { return leaf != kInvalidPageId; }
-  void Invalidate() { leaf = kInvalidPageId; }
-};
-
 class BTree {
  public:
   BTree(BufferPool* pool, IndexId index_id, bool unique);
@@ -136,15 +113,6 @@ class BTree {
 
   // First live entry with exactly this key.
   Status Probe(std::string_view key, IndexEntry* out) const;
-
-  // Probe through a caller-owned cursor. When `cursor` still names the
-  // leaf that covers `key` (same structure version, key within the cached
-  // range) the descent is skipped and the leaf is latched directly; either
-  // way the cursor is refilled to the leaf this probe landed on. Exactly
-  // Probe()'s semantics otherwise. The cursor is plain memory owned by one
-  // thread; all cross-thread coordination stays inside the tree latches.
-  Status ProbeCached(std::string_view key, IndexEntry* out,
-                     LeafCursor* cursor) const;
 
   // All entries with exactly this key (live only unless include_deleted).
   Status ProbeAll(std::string_view key, std::vector<IndexEntry>* out,
@@ -174,10 +142,6 @@ class BTree {
   uint64_t splits() const { return splits_.load(std::memory_order_relaxed); }
   uint64_t gc_purged() const {
     return gc_purged_.load(std::memory_order_relaxed);
-  }
-  // Descents skipped by ProbeCached hits on this tree.
-  uint64_t descents_saved() const {
-    return descents_saved_.load(std::memory_order_relaxed);
   }
   int Height() const;
 
@@ -285,29 +249,13 @@ class BTree {
   const IndexId index_id_;
   const bool unique_;
 
-  // Refill `cursor` from the latched leaf `p` (pid `pid`), or invalidate
-  // it when the leaf is empty. Caller holds the tree latch.
-  void FillCursor(const uint8_t* p, PageId pid, LeafCursor* cursor) const;
-
   mutable RwLatch tree_latch_;
   PageId root_ = kInvalidPageId;
   PageId first_leaf_ = kInvalidPageId;
 
-  // Bumped (under the exclusive tree latch) by every structure
-  // modification — leaf/internal split or root growth. Non-SMO writes
-  // never move a key across leaves (PurgeDeleted and UniqueCheck compact
-  // within one leaf; there are no merges), so an unchanged version means
-  // every leaf still covers the same separator range it did when a cursor
-  // was filled.
-  std::atomic<uint64_t> structure_version_{0};
-
   std::atomic<uint64_t> num_entries_{0};
   std::atomic<uint64_t> splits_{0};
   std::atomic<uint64_t> gc_purged_{0};
-  mutable std::atomic<uint64_t> descents_saved_{0};
-  // Registry mirror of descents_saved_, resolved once at construction so
-  // the hot path records through a cached pointer.
-  obs::Counter* const descents_saved_metric_;
 };
 
 }  // namespace doradb

@@ -9,8 +9,8 @@
 #include <atomic>
 #include <memory>
 
-#include "dora/resource_manager.h"
 #include "workloads/common/workload.h"
+#include "workloads/tm1/plan_advisor.h"
 
 namespace doradb {
 namespace tm1 {
@@ -118,7 +118,7 @@ class Tm1Workload : public Workload {
 
   // §A.4 plan selection for UpdateSubscriberData (Fig. 11).
   void SetPlanMode(PlanMode mode) { plan_mode_ = mode; }
-  dora::PlanAdvisor& plan_advisor() { return advisor_; }
+  PlanAdvisor& plan_advisor() { return advisor_; }
 
   const Schema& schema() const { return schema_; }
   const Config& config() const { return config_; }
@@ -160,7 +160,7 @@ class Tm1Workload : public Workload {
   std::unique_ptr<ZipfGenerator> zipf_;
   Schema schema_;
   PlanMode plan_mode_ = PlanMode::kParallel;
-  dora::PlanAdvisor advisor_;
+  PlanAdvisor advisor_;
 };
 
 }  // namespace tm1

@@ -36,9 +36,9 @@ Status Tm1Workload::DoraGetSubscriberData(dora::DoraEngine* e, Rng& rng) {
       schema_.subscriber, s_id, dora::LocalMode::kS,
       [this, s_id](dora::ActionEnv& env) -> Status {
         IndexEntry ie;
-        // env.Probe: leaf-cursor cached under epoch batching.
         DORADB_RETURN_NOT_OK(
-            env.Probe(schema_.sub_pk, Schema::SubKey(s_id), &ie));
+            env.db->catalog()->Index(schema_.sub_pk)->Probe(
+                Schema::SubKey(s_id), &ie));
         std::string bytes;
         DORADB_RETURN_NOT_OK(
             env.db->Read(env.txn, schema_.subscriber, ie.rid, &bytes, kNoCc));
@@ -72,8 +72,8 @@ Status Tm1Workload::DoraGetNewDestination(dora::DoraEngine* e, Rng& rng) {
                  [this, s_id, sf_type, st](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
                    const Status ps =
-                       env.Probe(schema_.sf_pk,
-                                 Schema::SfKey(s_id, sf_type), &ie);
+                       env.db->catalog()->Index(schema_.sf_pk)->Probe(
+                           Schema::SfKey(s_id, sf_type), &ie);
                    if (!ps.ok()) return Status::OK();  // decided client-side
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
@@ -126,7 +126,8 @@ Status Tm1Workload::DoraGetAccessData(dora::DoraEngine* e, Rng& rng) {
       [this, s_id, ai_type](dora::ActionEnv& env) -> Status {
         IndexEntry ie;
         DORADB_RETURN_NOT_OK(
-            env.Probe(schema_.ai_pk, Schema::AiKey(s_id, ai_type), &ie));
+            env.db->catalog()->Index(schema_.ai_pk)->Probe(
+                Schema::AiKey(s_id, ai_type), &ie));
         std::string bytes;
         return env.db->Read(env.txn, schema_.access_info, ie.rid, &bytes,
                             kNoCc);
@@ -150,8 +151,9 @@ Status Tm1Workload::DoraUpdateSubscriberData(dora::DoraEngine* e, Rng& rng) {
   g.AddAction(schema_.special_facility, s_id, dora::LocalMode::kX,
               [this, s_id, sf_type, data_a](dora::ActionEnv& env) -> Status {
                 IndexEntry ie;
-                DORADB_RETURN_NOT_OK(env.Probe(
-                    schema_.sf_pk, Schema::SfKey(s_id, sf_type), &ie));
+                DORADB_RETURN_NOT_OK(
+                    env.db->catalog()->Index(schema_.sf_pk)->Probe(
+                        Schema::SfKey(s_id, sf_type), &ie));
                 std::string bytes;
                 DORADB_RETURN_NOT_OK(env.db->Read(
                     env.txn, schema_.special_facility, ie.rid, &bytes,
@@ -165,7 +167,8 @@ Status Tm1Workload::DoraUpdateSubscriberData(dora::DoraEngine* e, Rng& rng) {
               [this, s_id, bit](dora::ActionEnv& env) -> Status {
                 IndexEntry ie;
                 DORADB_RETURN_NOT_OK(
-                    env.Probe(schema_.sub_pk, Schema::SubKey(s_id), &ie));
+                    env.db->catalog()->Index(schema_.sub_pk)->Probe(
+                        Schema::SubKey(s_id), &ie));
                 std::string bytes;
                 DORADB_RETURN_NOT_OK(env.db->Read(
                     env.txn, schema_.subscriber, ie.rid, &bytes, kNoCc));
@@ -247,7 +250,8 @@ Status Tm1Workload::DoraInsertCallForwarding(dora::DoraEngine* e, Rng& rng) {
       [this, s_id, sf_type](dora::ActionEnv& env) -> Status {
         IndexEntry ie;
         DORADB_RETURN_NOT_OK(
-            env.Probe(schema_.sf_pk, Schema::SfKey(s_id, sf_type), &ie));
+            env.db->catalog()->Index(schema_.sf_pk)->Probe(
+                Schema::SfKey(s_id, sf_type), &ie));
         std::string bytes;
         return env.db->Read(env.txn, schema_.special_facility, ie.rid,
                             &bytes, kNoCc);
@@ -287,8 +291,8 @@ Status Tm1Workload::DoraDeleteCallForwarding(dora::DoraEngine* e, Rng& rng) {
       schema_.call_forwarding, s_id, dora::LocalMode::kX,
       [this, s_id, sf_type, start_time](dora::ActionEnv& env) -> Status {
         IndexEntry ie;
-        DORADB_RETURN_NOT_OK(env.Probe(
-            schema_.cf_pk, Schema::CfKey(s_id, sf_type, start_time), &ie));
+        DORADB_RETURN_NOT_OK(env.db->catalog()->Index(schema_.cf_pk)->Probe(
+            Schema::CfKey(s_id, sf_type, start_time), &ie));
         DORADB_RETURN_NOT_OK(
             env.db->Delete(env.txn, schema_.call_forwarding, ie.rid, kRid));
         return env.db->IndexRemove(env.txn, schema_.cf_pk,

@@ -31,9 +31,9 @@ Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
       .AddAction(schema_.account, in.a_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   // env.Probe: leaf-cursor cached under epoch batching.
-                   DORADB_RETURN_NOT_OK(env.Probe(
-                       schema_.account_pk, Schema::Key(in.a_id), &ie));
+                   DORADB_RETURN_NOT_OK(
+                       env.db->catalog()->Index(schema_.account_pk)->Probe(
+                           Schema::Key(in.a_id), &ie));
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
                        env.txn, schema_.account, ie.rid, &bytes, kNoCc));
@@ -45,8 +45,9 @@ Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
       .AddAction(schema_.teller, in.t_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(env.Probe(
-                       schema_.teller_pk, Schema::Key(in.t_id), &ie));
+                   DORADB_RETURN_NOT_OK(
+                       env.db->catalog()->Index(schema_.teller_pk)->Probe(
+                           Schema::Key(in.t_id), &ie));
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
                        env.txn, schema_.teller, ie.rid, &bytes, kNoCc));
@@ -58,8 +59,9 @@ Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
       .AddAction(schema_.branch, in.b_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(env.Probe(
-                       schema_.branch_pk, Schema::Key(in.b_id), &ie));
+                   DORADB_RETURN_NOT_OK(
+                       env.db->catalog()->Index(schema_.branch_pk)->Probe(
+                           Schema::Key(in.b_id), &ie));
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
                        env.txn, schema_.branch, ie.rid, &bytes, kNoCc));

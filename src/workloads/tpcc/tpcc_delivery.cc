@@ -139,9 +139,8 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
           uint32_t o_id;
           if (OldestNewOrder(w_id, d, &o_id).IsNotFound()) continue;
           IndexEntry ie;
-          // env.Probe: leaf-cursor cached under epoch batching.
-          DORADB_RETURN_NOT_OK(env.Probe(
-              schema_.no_pk, Schema::NoKey(w_id, d, o_id), &ie));
+          DORADB_RETURN_NOT_OK(env.db->catalog()->Index(schema_.no_pk)->Probe(
+              Schema::NoKey(w_id, d, o_id), &ie));
           DORADB_RETURN_NOT_OK(
               env.db->Delete(env.txn, schema_.new_order, ie.rid, kRid));
           DORADB_RETURN_NOT_OK(env.db->IndexRemove(
@@ -163,8 +162,9 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
                          st->o_id[d].load(std::memory_order_relaxed);
                      if (o_id == 0) continue;
                      IndexEntry ie;
-                     DORADB_RETURN_NOT_OK(env.Probe(
-                         schema_.or_pk, Schema::OrKey(w_id, d, o_id), &ie));
+                     DORADB_RETURN_NOT_OK(
+                         env.db->catalog()->Index(schema_.or_pk)->Probe(
+                             Schema::OrKey(w_id, d, o_id), &ie));
                      std::string bytes;
                      DORADB_RETURN_NOT_OK(env.db->Read(
                          env.txn, schema_.order, ie.rid, &bytes, kNoCc));
@@ -217,8 +217,7 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
           const uint32_t o_id = st->o_id[d].load(std::memory_order_relaxed);
           if (o_id == 0) continue;
           IndexEntry ie;
-          DORADB_RETURN_NOT_OK(env.Probe(
-              schema_.cu_pk,
+          DORADB_RETURN_NOT_OK(env.db->catalog()->Index(schema_.cu_pk)->Probe(
               Schema::CuKey(w_id, d,
                             st->c_id[d].load(std::memory_order_relaxed)),
               &ie));
@@ -314,7 +313,8 @@ Status TpccWorkload::DoraStockLevel(dora::DoraEngine* e, Rng& rng) {
       [this, w_id, d_id, st](dora::ActionEnv& env) -> Status {
         IndexEntry ie;
         DORADB_RETURN_NOT_OK(
-            env.Probe(schema_.di_pk, Schema::DiKey(w_id, d_id), &ie));
+            env.db->catalog()->Index(schema_.di_pk)->Probe(
+                Schema::DiKey(w_id, d_id), &ie));
         std::string bytes;
         DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.district, ie.rid,
                                           &bytes, kNoCc));
@@ -355,7 +355,8 @@ Status TpccWorkload::DoraStockLevel(dora::DoraEngine* e, Rng& rng) {
         for (uint32_t i_id : st->items) {
           IndexEntry ie;
           DORADB_RETURN_NOT_OK(
-              env.Probe(schema_.st_pk, Schema::StKey(w_id, i_id), &ie));
+              env.db->catalog()->Index(schema_.st_pk)->Probe(
+                  Schema::StKey(w_id, i_id), &ie));
           std::string bytes;
           DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.stock, ie.rid,
                                             &bytes, kNoCc));

@@ -44,9 +44,9 @@ Status TpccWorkload::DoraPayment(dora::DoraEngine* e, Rng& rng) {
       .AddAction(schema_.warehouse, in.w_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   // env.Probe: leaf-cursor cached under epoch batching.
-                   DORADB_RETURN_NOT_OK(env.Probe(
-                       schema_.wh_pk, Schema::WhKey(in.w_id), &ie));
+                   DORADB_RETURN_NOT_OK(
+                       env.db->catalog()->Index(schema_.wh_pk)->Probe(
+                           Schema::WhKey(in.w_id), &ie));
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
                        env.txn, schema_.warehouse, ie.rid, &bytes, kNoCc));
@@ -58,8 +58,9 @@ Status TpccWorkload::DoraPayment(dora::DoraEngine* e, Rng& rng) {
       .AddAction(schema_.district, in.w_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) -> Status {
                    IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(env.Probe(
-                       schema_.di_pk, Schema::DiKey(in.w_id, in.d_id), &ie));
+                   DORADB_RETURN_NOT_OK(
+                       env.db->catalog()->Index(schema_.di_pk)->Probe(
+                           Schema::DiKey(in.w_id, in.d_id), &ie));
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
                        env.txn, schema_.district, ie.rid, &bytes, kNoCc));
@@ -122,8 +123,9 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
   g.AddAction(schema_.warehouse, in.w_id, dora::LocalMode::kS,
               [this, in](dora::ActionEnv& env) -> Status {
                 IndexEntry ie;
-                DORADB_RETURN_NOT_OK(env.Probe(
-                    schema_.wh_pk, Schema::WhKey(in.w_id), &ie));
+                DORADB_RETURN_NOT_OK(
+                    env.db->catalog()->Index(schema_.wh_pk)->Probe(
+                        Schema::WhKey(in.w_id), &ie));
                 std::string bytes;
                 return env.db->Read(env.txn, schema_.warehouse, ie.rid,
                                     &bytes, kNoCc);
@@ -131,9 +133,9 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
   g.AddAction(schema_.customer, in.w_id, dora::LocalMode::kS,
               [this, in](dora::ActionEnv& env) -> Status {
                 IndexEntry ie;
-                DORADB_RETURN_NOT_OK(env.Probe(
-                    schema_.cu_pk, Schema::CuKey(in.w_id, in.d_id, in.c_id),
-                    &ie));
+                DORADB_RETURN_NOT_OK(
+                    env.db->catalog()->Index(schema_.cu_pk)->Probe(
+                        Schema::CuKey(in.w_id, in.d_id, in.c_id), &ie));
                 std::string bytes;
                 return env.db->Read(env.txn, schema_.customer, ie.rid,
                                     &bytes, kNoCc);
@@ -141,8 +143,9 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
   g.AddAction(schema_.district, in.w_id, dora::LocalMode::kX,
               [this, in, st](dora::ActionEnv& env) -> Status {
                 IndexEntry ie;
-                DORADB_RETURN_NOT_OK(env.Probe(
-                    schema_.di_pk, Schema::DiKey(in.w_id, in.d_id), &ie));
+                DORADB_RETURN_NOT_OK(
+                    env.db->catalog()->Index(schema_.di_pk)->Probe(
+                        Schema::DiKey(in.w_id, in.d_id), &ie));
                 std::string bytes;
                 DORADB_RETURN_NOT_OK(env.db->Read(
                     env.txn, schema_.district, ie.rid, &bytes, kNoCc));
@@ -165,8 +168,8 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
                   [this, in, st, line_idxs](dora::ActionEnv& env) -> Status {
                     for (uint8_t i : line_idxs) {
                       IndexEntry ie;
-                      const Status is = env.Probe(
-                          schema_.it_pk, Schema::ItKey(in.items[i]), &ie);
+                      const Status is = env.db->catalog()->Index(schema_.it_pk)
+                          ->Probe(Schema::ItKey(in.items[i]), &ie);
                       if (!is.ok()) return Status::Aborted("invalid item");
                       std::string bytes;
                       DORADB_RETURN_NOT_OK(env.db->Read(
@@ -193,8 +196,9 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
           [this, in, sw, line_idxs](dora::ActionEnv& env) -> Status {
             for (uint8_t i : line_idxs) {
               IndexEntry ie;
-              DORADB_RETURN_NOT_OK(env.Probe(
-                  schema_.st_pk, Schema::StKey(sw, in.items[i]), &ie));
+              DORADB_RETURN_NOT_OK(
+                  env.db->catalog()->Index(schema_.st_pk)->Probe(
+                      Schema::StKey(sw, in.items[i]), &ie));
               std::string bytes;
               DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.stock,
                                                 ie.rid, &bytes, kNoCc));
@@ -319,9 +323,9 @@ Status TpccWorkload::DoraOrderStatus(dora::DoraEngine* e, Rng& rng) {
                        in.w_id, in.d_id,
                        st->c_id.load(std::memory_order_relaxed), &o_id));
                    IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(env.Probe(
-                       schema_.or_pk, Schema::OrKey(in.w_id, in.d_id, o_id),
-                       &ie));
+                   DORADB_RETURN_NOT_OK(
+                       env.db->catalog()->Index(schema_.or_pk)->Probe(
+                           Schema::OrKey(in.w_id, in.d_id, o_id), &ie));
                    std::string bytes;
                    DORADB_RETURN_NOT_OK(env.db->Read(
                        env.txn, schema_.order, ie.rid, &bytes, kNoCc));

@@ -1,6 +1,6 @@
 // Tests for the DORA core: local lock table semantics, routing rules, flow
 // graph execution through executors and RVPs, abort propagation, the
-// deadlock-avoidance enqueue protocol, rebalancing, and the plan advisor.
+// deadlock-avoidance enqueue protocol, rebalancing, and pipelined commit.
 
 #include <atomic>
 #include <set>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "dora/dora_engine.h"
-#include "dora/resource_manager.h"
 #include "log/recovery.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -394,9 +393,10 @@ TEST_F(DoraEngineTest, RebalanceMovesBoundary) {
   // Shift everything to executor 0, then verify routing changed and the
   // system still executes transactions correctly.
   auto rule = std::make_shared<RoutingRule>();
+  rule->version = engine_->routing_of(table_a_)->Current()->version + 1;
   rule->boundaries = {95};
   rule->executor_of_dataset = {0, 1};
-  ASSERT_TRUE(engine_->Rebalance(table_a_, rule).ok());
+  ASSERT_TRUE(engine_->MigrateRoutingRule(table_a_, rule).ok());
   EXPECT_EQ(engine_->RouteIndex(table_a_, 80), 0u);
   EXPECT_EQ(engine_->RouteIndex(table_a_, 96), 1u);
 
@@ -427,9 +427,10 @@ TEST_F(DoraEngineTest, RebalanceUnderLoad) {
   });
   for (int i = 0; i < 5; ++i) {
     auto rule = std::make_shared<RoutingRule>();
+    rule->version = engine_->routing_of(table_a_)->Current()->version + 1;
     rule->boundaries = {uint64_t(20 + 10 * i)};
     rule->executor_of_dataset = {0, 1};
-    ASSERT_TRUE(engine_->Rebalance(table_a_, rule).ok());
+    ASSERT_TRUE(engine_->MigrateRoutingRule(table_a_, rule).ok());
   }
   stop = true;
   load.join();
@@ -477,19 +478,18 @@ TEST_F(DoraEngineTest, SerialPlanAvoidsWastedWorkOnAbort) {
   EXPECT_FALSE(second_ran.load());
 }
 
-// ---------------------------------------------------------- epoch batching
+// -------------------------------------------------------- concurrent mixes
 
-// Database + engine with epoch batching armed at `min_batch`. `pipelined`
-// turns on pipelined commit, by default over the partitioned log backend,
-// so the epoch-close path (bulk commit append + batched acks) is exercised
-// end to end; without it, epochs only reorder execution.
-class EpochBatchTest : public ::testing::Test {
+// Database + engine for multi-client mixes. `pipelined` turns on pipelined
+// commit, by default over the partitioned log backend, so the early-release
+// commit path and its acks are exercised end to end.
+class DoraMixTest : public ::testing::Test {
  protected:
-  void Build(uint32_t min_batch, bool pipelined) {
-    Build(min_batch, pipelined,
+  void Build(bool pipelined) {
+    Build(pipelined,
           pipelined ? LogBackendKind::kPartitioned : LogBackendKind::kCentral);
   }
-  void Build(uint32_t min_batch, bool pipelined, LogBackendKind backend) {
+  void Build(bool pipelined, LogBackendKind backend) {
     if (engine_) engine_->Stop();
     engine_.reset();
     db_.reset();
@@ -499,7 +499,6 @@ class EpochBatchTest : public ::testing::Test {
     db_ = std::make_unique<Database>(dbo);
     ASSERT_TRUE(db_->catalog()->CreateTable("a", &table_a_).ok());
     DoraEngine::Options eo;
-    eo.epoch_batch_min = min_batch;
     eo.pipelined_commit = pipelined;
     engine_ = std::make_unique<DoraEngine>(db_.get(), eo);
     engine_->RegisterTable(table_a_, 100, 2);
@@ -578,27 +577,12 @@ class EpochBatchTest : public ::testing::Test {
   std::vector<Rid> rids_;
 };
 
-TEST_F(EpochBatchTest, BatchedConflictsSerialize) {
-  // Threshold 1 forces every drain onto the epoch path. Hammering a single
-  // counter from many clients must still serialize through the local lock
-  // table: admission order (and therefore parking) is untouched by the
-  // key-sorted execution reorder.
-  Build(/*min_batch=*/1, /*pipelined=*/false);
-  SeedCounters({7});
-  EXPECT_EQ(RunIncrementMix(/*threads=*/4, /*iters=*/50), 0);
-  EXPECT_EQ(SumCounters(), 200u) << "lost update under epoch batching";
-  const auto stats = engine_->CollectInboxStats();
-  EXPECT_GT(stats.epoch_actions, 0u)
-      << "threshold 1 must route ready actions through epoch groups";
-  EXPECT_GE(stats.epoch_actions, stats.epoch_groups);
-}
-
-TEST_F(EpochBatchTest, TicketedGraphsNeverDeadlockUnderBatching) {
-  // §4.2.3 under batching: multi-action graphs take the ticket-ordered
-  // admission path while concurrent single-action traffic runs in epoch
-  // groups on the same executors. Neither path may starve or deadlock the
-  // other, and ticket order must hold across epoch boundaries.
-  Build(/*min_batch=*/1, /*pipelined=*/false);
+TEST_F(DoraMixTest, TicketedGraphsNeverDeadlockBesideSingleActions) {
+  // §4.2.3: multi-action graphs take the ticket-ordered admission path
+  // while concurrent single-action traffic runs FIFO on the same
+  // executors. Neither path may starve or deadlock the other, and no
+  // increment may be lost.
+  Build(/*pipelined=*/false);
   SeedCounters({3, 77});
   constexpr int kThreads = 4, kIters = 40;
   std::atomic<int> failures{0};
@@ -624,161 +608,75 @@ TEST_F(EpochBatchTest, TicketedGraphsNeverDeadlockUnderBatching) {
   EXPECT_EQ(SumCounters(), 80u);
 }
 
-TEST_F(EpochBatchTest, EpochAcksMatchPerTxnAcks) {
-  // Same pipelined-commit TPC-B-style mix over the partitioned log, acked
-  // per-transaction (batching off) vs per-epoch (threshold 1). The durable
-  // invariant — every committed increment visible, none duplicated — must
-  // be identical.
+TEST_F(DoraMixTest, PipelinedAcksCountEveryIncrement) {
+  // TPC-B-style mix with pipelined commit over the partitioned log: every
+  // acknowledged increment is visible, none duplicated.
   constexpr int kThreads = 4, kIters = 40;
-  const std::vector<uint64_t> keys = {5, 25, 45, 65, 85};
-  uint64_t sums[2];
-  int i = 0;
-  for (const uint32_t min_batch : {0u, 1u}) {
-    Build(min_batch, /*pipelined=*/true);
-    SeedCounters(keys);
-    EXPECT_EQ(RunIncrementMix(kThreads, kIters), 0);
-    sums[i++] = SumCounters();
-    if (min_batch != 0) {
-      EXPECT_GT(engine_->CollectInboxStats().epoch_actions, 0u);
-    }
-  }
-  EXPECT_EQ(sums[0], uint64_t(kThreads * kIters));
-  EXPECT_EQ(sums[1], sums[0])
-      << "epoch-granular acks changed the committed state";
+  Build(/*pipelined=*/true);
+  SeedCounters({5, 25, 45, 65, 85});
+  EXPECT_EQ(RunIncrementMix(kThreads, kIters), 0);
+  EXPECT_EQ(SumCounters(), uint64_t(kThreads * kIters));
 }
 
-TEST_F(EpochBatchTest, HighThresholdKeepsPerActionPathAtLowLoad) {
-  // A sequential client never piles up a drain of 64 ready actions, so an
-  // armed-but-high threshold must leave the per-action path (and its
-  // latency profile) untouched: zero epoch groups, all commits fine.
-  Build(/*min_batch=*/64, /*pipelined=*/false);
-  SeedCounters({7});
-  EXPECT_EQ(RunIncrementMix(/*threads=*/1, /*iters=*/50), 0);
-  EXPECT_EQ(SumCounters(), 50u);
-  const auto stats = engine_->CollectInboxStats();
-  EXPECT_EQ(stats.epoch_groups, 0u)
-      << "low load must never trip the batch threshold";
-}
-
-TEST_F(EpochBatchTest, ReadOnlyTransactionsLeaveNothingInTheLog) {
+TEST_F(DoraMixTest, ReadOnlyTransactionsLeaveNothingInTheLog) {
   // A transaction that logs no work appends no record: not at Begin, not
-  // at commit (Database::Commit, DORA pipelined, DORA epoch), not at an
-  // abort — on either log backend. A crash after only such transactions
-  // finds nothing to recover: no winners, no losers.
+  // at commit (Database::Commit, DORA pipelined), not at an abort — on
+  // either log backend. A crash after only such transactions finds nothing
+  // to recover: no winners, no losers.
   auto* read_only = obs::MetricsRegistry::Default().GetCounter(
       "txn.read_only_commits", "txns");
   for (const LogBackendKind backend :
        {LogBackendKind::kCentral, LogBackendKind::kPartitioned}) {
-    for (const uint32_t min_batch : {0u, 1u}) {
-      SCOPED_TRACE(testing::Message()
-                   << "backend " << static_cast<int>(backend)
-                   << ", epoch_batch_min " << min_batch);
-      Build(min_batch, /*pipelined=*/true, backend);
-      LogBackend* log = db_->log_manager();
-      const uint64_t appends = log->appends();
-      const uint64_t read_only_before = read_only->Value();
-      {
-        auto txn = db_->Begin();
-        ASSERT_TRUE(db_->Commit(txn.get()).ok());
-      }
-      {
-        auto txn = db_->Begin();
-        ASSERT_TRUE(db_->Abort(txn.get()).ok());
-      }
-      constexpr int kReaders = 40;
-      for (int i = 0; i < kReaders; ++i) {
-        auto dtxn = engine_->BeginTxn();
-        FlowGraph g;
-        g.AddPhase()
-            .AddAction(table_a_, 10, LocalMode::kS,
-                       [](ActionEnv&) { return Status::OK(); })
-            .AddAction(table_a_, 90, LocalMode::kS,
-                       [](ActionEnv&) { return Status::OK(); });
-        ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
-      }
-      {
-        auto dtxn = engine_->BeginTxn();
-        FlowGraph g;
-        g.AddPhase().AddAction(table_a_, 10, LocalMode::kS, [](ActionEnv&) {
-          return Status::Aborted("user abort");
-        });
-        EXPECT_TRUE(engine_->Run(dtxn, std::move(g)).IsAborted());
-      }
-      if (min_batch != 0) {
-        EXPECT_GT(engine_->CollectInboxStats().epoch_actions, 0u);
-      }
-      EXPECT_EQ(engine_->txns_committed(), uint64_t(kReaders));
-      EXPECT_EQ(engine_->txns_pipelined(), 0u)
-          << "read-only commits must stay out of the pipelined count";
-      EXPECT_EQ(engine_->txns_acked_inline(), 0u);
-      engine_->Stop();  // commits the executors' system transaction too
-      EXPECT_EQ(log->appends(), appends) << "a read-only txn logged a record";
-      // Database::Commit, the readers, and the system transaction.
-      EXPECT_EQ(read_only->Value() - read_only_before,
-                uint64_t(1 + kReaders + 1));
-
-      db_->SimulateCrash();
-      RecoveryDriver driver(db_.get());
-      ASSERT_TRUE(driver.Run(nullptr).ok());
-      EXPECT_EQ(driver.stats().winners, 0u);
-      EXPECT_EQ(driver.stats().losers, 0u);
-      EXPECT_EQ(driver.stats().records_scanned, 0u);
+    SCOPED_TRACE(testing::Message()
+                 << "backend " << static_cast<int>(backend));
+    Build(/*pipelined=*/true, backend);
+    LogBackend* log = db_->log_manager();
+    const uint64_t appends = log->appends();
+    const uint64_t read_only_before = read_only->Value();
+    {
+      auto txn = db_->Begin();
+      ASSERT_TRUE(db_->Commit(txn.get()).ok());
     }
+    {
+      auto txn = db_->Begin();
+      ASSERT_TRUE(db_->Abort(txn.get()).ok());
+    }
+    constexpr int kReaders = 40;
+    for (int i = 0; i < kReaders; ++i) {
+      auto dtxn = engine_->BeginTxn();
+      FlowGraph g;
+      g.AddPhase()
+          .AddAction(table_a_, 10, LocalMode::kS,
+                     [](ActionEnv&) { return Status::OK(); })
+          .AddAction(table_a_, 90, LocalMode::kS,
+                     [](ActionEnv&) { return Status::OK(); });
+      ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+    }
+    {
+      auto dtxn = engine_->BeginTxn();
+      FlowGraph g;
+      g.AddPhase().AddAction(table_a_, 10, LocalMode::kS, [](ActionEnv&) {
+        return Status::Aborted("user abort");
+      });
+      EXPECT_TRUE(engine_->Run(dtxn, std::move(g)).IsAborted());
+    }
+    EXPECT_EQ(engine_->txns_committed(), uint64_t(kReaders));
+    EXPECT_EQ(engine_->txns_pipelined(), 0u)
+        << "read-only commits must stay out of the pipelined count";
+    EXPECT_EQ(engine_->txns_acked_inline(), 0u);
+    engine_->Stop();  // commits the executors' system transaction too
+    EXPECT_EQ(log->appends(), appends) << "a read-only txn logged a record";
+    // Database::Commit, the readers, and the system transaction.
+    EXPECT_EQ(read_only->Value() - read_only_before,
+              uint64_t(1 + kReaders + 1));
+
+    db_->SimulateCrash();
+    RecoveryDriver driver(db_.get());
+    ASSERT_TRUE(driver.Run(nullptr).ok());
+    EXPECT_EQ(driver.stats().winners, 0u);
+    EXPECT_EQ(driver.stats().losers, 0u);
+    EXPECT_EQ(driver.stats().records_scanned, 0u);
   }
-}
-
-// ------------------------------------------------------------- PlanAdvisor
-
-TEST(PlanAdvisorTest, RecommendsSerialAboveThreshold) {
-  PlanAdvisor::Options o;
-  o.serial_threshold = 0.2;
-  o.min_samples = 10;
-  PlanAdvisor advisor(o);
-  for (int i = 0; i < 100; ++i) advisor.RecordOutcome(1, i % 2 == 0);
-  EXPECT_TRUE(advisor.RecommendSerial(1)) << "50% abort rate";
-  EXPECT_NEAR(advisor.AbortRate(1), 0.5, 0.01);
-  EXPECT_FALSE(advisor.RecommendSerial(2)) << "unknown type defaults parallel";
-}
-
-TEST(PlanAdvisorTest, StaysParallelBelowThreshold) {
-  PlanAdvisor::Options o;
-  o.serial_threshold = 0.2;
-  o.min_samples = 10;
-  PlanAdvisor advisor(o);
-  for (int i = 0; i < 100; ++i) advisor.RecordOutcome(1, i % 20 == 0);
-  EXPECT_FALSE(advisor.RecommendSerial(1)) << "5% abort rate";
-}
-
-// -------------------------------------------------------- ResourceManager
-
-TEST_F(DoraEngineTest, ResourceManagerRebalancesSkewedLoad) {
-  ResourceManager::Options o;
-  o.auto_rebalance = true;
-  o.imbalance_threshold = 1.5;
-  ResourceManager rm(engine_.get(), o);
-  // All load on executor 1's range.
-  for (int i = 0; i < 400; ++i) {
-    auto dtxn = engine_->BeginTxn();
-    FlowGraph g;
-    g.AddPhase().AddAction(table_a_, 90, LocalMode::kS,
-                           [](ActionEnv&) { return Status::OK(); });
-    ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
-  }
-  rm.SampleOnce();  // baseline sample
-  for (int i = 0; i < 400; ++i) {
-    auto dtxn = engine_->BeginTxn();
-    FlowGraph g;
-    g.AddPhase().AddAction(table_a_, 90, LocalMode::kS,
-                           [](ActionEnv&) { return Status::OK(); });
-    ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
-  }
-  rm.SampleOnce();  // sees the skew, triggers a rebalance
-  EXPECT_GE(rm.rebalances(), 1u);
-  // The hot value should now map to a wider range owned by executor 1 —
-  // i.e. the boundary moved left of the default 50.
-  auto rule = engine_->routing_of(table_a_)->Current();
-  ASSERT_EQ(rule->boundaries.size(), 1u);
-  EXPECT_LT(rule->boundaries[0], 50u);
 }
 
 }  // namespace

@@ -1022,60 +1022,56 @@ TEST(PlogDoraTest, ReaderOfReleasedWriteAckedOnlyOnceWriterDurable) {
     ASSERT_TRUE(db.Commit(setup.get()).ok());
   }
 
-  for (const uint32_t min_batch : {0u, 1u}) {
-    for (int i = 0; i < kIters; ++i) {
-      dora::DoraEngine::Options opts;
-      opts.pipelined_commit = true;
-      opts.epoch_batch_min = min_batch;
-      dora::DoraEngine engine(&db, opts);
-      engine.RegisterTable(table, 64, 1);  // writer and reader share it
-      engine.Start();
+  for (int i = 0; i < kIters; ++i) {
+    dora::DoraEngine::Options opts;
+    opts.pipelined_commit = true;
+    dora::DoraEngine engine(&db, opts);
+    engine.RegisterTable(table, 64, 1);  // writer and reader share it
+    engine.Start();
 
-      const std::string value =
-          "w" + std::to_string(min_batch) + "-" + std::to_string(i);
-      std::atomic<bool> written{false};
-      Status writer_status;
-      std::thread writer([&] {
-        auto dtxn = engine.BeginTxn();
-        dora::FlowGraph g;
-        g.AddPhase().AddAction(
-            table, 7, dora::LocalMode::kX, [&](dora::ActionEnv& env) {
-              const Status s = env.db->Update(env.txn, table, rid, value,
-                                              AccessOptions::NoCc());
-              written.store(true, std::memory_order_release);
-              return s;
-            });
-        writer_status = engine.Run(dtxn, std::move(g));
-      });
-      while (!written.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      // Queued behind the writer's X lock on the same executor, so it is
-      // granted by the writer's early release and reads its update.
-      std::string seen;
-      auto rtxn = engine.BeginTxn();
-      dora::FlowGraph rg;
-      rg.AddPhase().AddAction(
-          table, 7, dora::LocalMode::kS, [&](dora::ActionEnv& env) {
-            return env.db->Read(env.txn, table, rid, &seen,
-                                AccessOptions::NoCc());
+    const std::string value = "w" + std::to_string(i);
+    std::atomic<bool> written{false};
+    Status writer_status;
+    std::thread writer([&] {
+      auto dtxn = engine.BeginTxn();
+      dora::FlowGraph g;
+      g.AddPhase().AddAction(
+          table, 7, dora::LocalMode::kX, [&](dora::ActionEnv& env) {
+            const Status s = env.db->Update(env.txn, table, rid, value,
+                                            AccessOptions::NoCc());
+            written.store(true, std::memory_order_release);
+            return s;
           });
-      const Status reader_status = engine.Run(rtxn, std::move(rg));
-      db.log_manager()->DiscardVolatileTail();  // the crash instant
-      writer.join();
-      engine.Stop();
-      ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
-      ASSERT_TRUE(reader_status.ok()) << reader_status.ToString();
-      ASSERT_EQ(seen, value) << "the reader must see the released write";
-
-      db.SimulateCrash();
-      ASSERT_TRUE(db.Recover(nullptr).ok());
-      std::string out;
-      ASSERT_TRUE(db.catalog()->Heap(table)->Get(rid, &out).ok());
-      ASSERT_EQ(out, value)
-          << "reader acknowledged before the write it read was durable "
-          << "(epoch_batch_min " << min_batch << ", iteration " << i << ")";
+      writer_status = engine.Run(dtxn, std::move(g));
+    });
+    while (!written.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
     }
+    // Queued behind the writer's X lock on the same executor, so it is
+    // granted by the writer's early release and reads its update.
+    std::string seen;
+    auto rtxn = engine.BeginTxn();
+    dora::FlowGraph rg;
+    rg.AddPhase().AddAction(
+        table, 7, dora::LocalMode::kS, [&](dora::ActionEnv& env) {
+          return env.db->Read(env.txn, table, rid, &seen,
+                              AccessOptions::NoCc());
+        });
+    const Status reader_status = engine.Run(rtxn, std::move(rg));
+    db.log_manager()->DiscardVolatileTail();  // the crash instant
+    writer.join();
+    engine.Stop();
+    ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
+    ASSERT_TRUE(reader_status.ok()) << reader_status.ToString();
+    ASSERT_EQ(seen, value) << "the reader must see the released write";
+
+    db.SimulateCrash();
+    ASSERT_TRUE(db.Recover(nullptr).ok());
+    std::string out;
+    ASSERT_TRUE(db.catalog()->Heap(table)->Get(rid, &out).ok());
+    ASSERT_EQ(out, value)
+        << "reader acknowledged before the write it read was durable "
+        << "(iteration " << i << ")";
   }
 }
 

@@ -592,47 +592,6 @@ TEST_F(BTreeTest, RemoveThenProbeFails) {
   EXPECT_EQ(tree_.num_entries(), 0u);
 }
 
-TEST_F(BTreeTest, ProbeCachedSortedRunReusesLeaves) {
-  constexpr uint64_t kN = 5000;
-  for (uint64_t i = 0; i < kN; ++i) {
-    ASSERT_TRUE(tree_.Insert(Key(i), {Rid{PageId(i), 0}, i, false}).ok());
-  }
-  // A key-sorted probe run (the epoch-batch access pattern) must answer
-  // like Probe while descending only once per leaf.
-  LeafCursor cur;
-  for (uint64_t i = 0; i < kN; ++i) {
-    IndexEntry out;
-    ASSERT_TRUE(tree_.ProbeCached(Key(i), &out, &cur).ok()) << i;
-    EXPECT_EQ(out.aux, i);
-  }
-  EXPECT_GT(tree_.descents_saved(), kN / 2)
-      << "sorted probes must amortize descents across leaf-mates";
-  IndexEntry out;
-  EXPECT_TRUE(tree_.ProbeCached(Key(kN + 5), &out, &cur).IsNotFound())
-      << "cursor hit on the rightmost leaf must still report misses";
-}
-
-TEST_F(BTreeTest, ProbeCachedStaleCursorSurvivesSplits) {
-  for (uint64_t i = 0; i < 64; ++i) {
-    ASSERT_TRUE(tree_.Insert(Key(i * 2), {Rid{PageId(i), 0}, i, false}).ok());
-  }
-  LeafCursor cur;
-  IndexEntry out;
-  ASSERT_TRUE(tree_.ProbeCached(Key(10), &out, &cur).ok());
-  const uint64_t saved_before = tree_.descents_saved();
-  // Structural churn bumps the tree version; the stale cursor must fall
-  // back to a full descent (no saved-descent credit) yet stay correct.
-  for (uint64_t i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(
-        tree_.Insert(Key(100000 + i), {Rid{PageId(i), 1}, i, false}).ok());
-  }
-  ASSERT_GT(tree_.splits(), 0u);
-  ASSERT_TRUE(tree_.ProbeCached(Key(12), &out, &cur).ok());
-  EXPECT_EQ(out.aux, 6u);
-  EXPECT_EQ(tree_.descents_saved(), saved_before)
-      << "a version-stale cursor must not count as a saved descent";
-}
-
 TEST_F(BTreeTest, ManyInsertsSplitAndStaySorted) {
   constexpr uint64_t kN = 20000;
   for (uint64_t i = 0; i < kN; ++i) {

@@ -1,6 +1,6 @@
 // End-to-end TM1 workload tests: loader integrity, every transaction type
-// on both engines, mixed concurrent execution, and cross-engine consistency
-// invariants.
+// on both engines, mixed concurrent execution, cross-engine consistency
+// invariants, and the DORA-S plan advisor.
 
 #include <gtest/gtest.h>
 
@@ -179,6 +179,28 @@ TEST_F(Tm1Test, InsertThenDeleteCallForwardingRoundTrip) {
       db_.catalog()->Heap(workload_->schema().call_forwarding)->record_count();
   EXPECT_EQ(after, before + inserted - deleted);
   EXPECT_TRUE(workload_->CheckConsistency().ok());
+}
+
+// ------------------------------------------------------------- PlanAdvisor
+
+TEST(PlanAdvisorTest, RecommendsSerialAboveThreshold) {
+  PlanAdvisor::Options o;
+  o.serial_threshold = 0.2;
+  o.min_samples = 10;
+  PlanAdvisor advisor(o);
+  for (int i = 0; i < 100; ++i) advisor.RecordOutcome(1, i % 2 == 0);
+  EXPECT_TRUE(advisor.RecommendSerial(1)) << "50% abort rate";
+  EXPECT_NEAR(advisor.AbortRate(1), 0.5, 0.01);
+  EXPECT_FALSE(advisor.RecommendSerial(2)) << "unknown type defaults parallel";
+}
+
+TEST(PlanAdvisorTest, StaysParallelBelowThreshold) {
+  PlanAdvisor::Options o;
+  o.serial_threshold = 0.2;
+  o.min_samples = 10;
+  PlanAdvisor advisor(o);
+  for (int i = 0; i < 100; ++i) advisor.RecordOutcome(1, i % 20 == 0);
+  EXPECT_FALSE(advisor.RecommendSerial(1)) << "5% abort rate";
 }
 
 }  // namespace
