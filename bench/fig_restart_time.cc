@@ -7,10 +7,14 @@
 //                    and restart replays every record ever written;
 //   global           the classic stall-the-world shape: one daemon visit
 //                    flushes the whole pool and truncates every stream;
-//   partition-local  the src/ckpt/ design: fuzzy per-partition visits
-//                    (growth-weighted cadence), each flushing only that
-//                    partition's dirty pages and advancing only its
-//                    truncation point.
+//   partition-local  the src/ckpt/ design: fuzzy per-partition visits,
+//                    each flushing only that partition's dirty pages and
+//                    advancing only its truncation point.
+//
+// The daemon visits once a partition's stable log has grown by one
+// segment, so both checkpointing modes run with small segments (8 KiB,
+// DORADB_LOG_SEGMENT_BYTES overrides) to cross that trigger many times
+// even in a 100 ms window.
 //
 // Media: in-memory by default; with DORADB_DATA_DIR set, the WAL lives in
 // segment files and pages in pages.db, checkpoint truncation UNLINKS
@@ -24,6 +28,9 @@
 // bytes reclaimed by truncation, records replayed by recovery, recovery
 // wall time, and (file-backed) the per-stream durability counters:
 // fsyncs, bytes flushed, segments sealed/unlinked.
+//
+// Exit status: non-zero when a checkpointing mode ran no checkpoint or,
+// file-backed, unlinked no segment.
 
 #include <chrono>
 
@@ -71,6 +78,9 @@ Row RunMode(const char* name, bool enabled, bool partition_local) {
   db_opts.checkpoint.partition_local = partition_local;
   db_opts.checkpoint.truncate = true;
   db_opts.checkpoint.interval_us = 2000;
+  if (enabled) {
+    db_opts.log_segment_bytes = EnvU64("DORADB_LOG_SEGMENT_BYTES", 8 << 10);
+  }
   const bool file_backed = !db_opts.data_dir.empty();
 
   dora::DoraEngine::Options engine_opts;
@@ -175,8 +185,17 @@ int main() {
       {"global", true, false},
       {"partition-local", true, true},
   };
+  bool failed = false;
   for (const ModeSpec& spec : specs) {
     const Row row = RunMode(spec.name, spec.enabled, spec.partition_local);
+    if (spec.enabled && row.checkpoints == 0) {
+      std::fprintf(stderr, "FAIL: %s ran no checkpoint\n", row.name);
+      failed = true;
+    }
+    if (spec.enabled && file_backed && row.seg_unlinked == 0) {
+      std::fprintf(stderr, "FAIL: %s unlinked no segment\n", row.name);
+      failed = true;
+    }
     std::printf(
         "%-16s %9.0f %7llu %11zu %9zu %11llu %9llu %9zu %10zu %11.2f\n",
         row.name, row.tps, static_cast<unsigned long long>(row.checkpoints),
@@ -205,9 +224,11 @@ int main() {
       "with the run; either checkpoint mode bounds them to the suffix\n"
       "since the last round, and partition-local visits do it without a\n"
       "whole-pool flush stall (tps should match or beat global). With\n"
-      "DORADB_DATA_DIR set, truncation deletes segment files (unlinked>0,\n"
-      "seg_files stays small) and recover_ms is a real second-lifetime\n"
-      "reopen from disk.\n");
+      "DORADB_DATA_DIR set, seg_files stays small and recover_ms is a real\n"
+      "second-lifetime reopen from disk.\n"
+      "checked: each checkpoint mode ran checkpoints (ckpts>0) and, with\n"
+      "DORADB_DATA_DIR set, deleted segment files (unlinked>0): %s\n",
+      failed ? "FAILED" : "ok");
   BenchJson::Default().Emit("fig_restart_time");
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -13,8 +13,13 @@ namespace ckpt {
 CheckpointCoordinator::CheckpointCoordinator(BufferPool* pool,
                                              LogBackend* log,
                                              TxnManager* txns,
-                                             Options options)
-    : pool_(pool), log_(log), txns_(txns), options_(options) {
+                                             Options options,
+                                             size_t segment_bytes)
+    : pool_(pool),
+      log_(log),
+      txns_(txns),
+      options_(options),
+      segment_bytes_(segment_bytes) {
   size_at_last_visit_.resize(log_->num_partitions(), 0);
   visits_.resize(log_->num_partitions(), 0);
 }
@@ -42,13 +47,12 @@ void CheckpointCoordinator::DaemonLoop() {
     NapMicros(options_.interval_us);
     hb->SetIdle(false);
     if (stop_.load(std::memory_order_acquire)) return;
-    hb->SetStage("checkpoint");
     hb->Beat();
+    const std::optional<uint32_t> due = PickPartition();
+    if (!due) continue;
+    hb->SetStage("checkpoint");
     if (options_.partition_local) {
-      const uint32_t p = options_.adaptive
-                             ? PickPartition()
-                             : cursor_++ % log_->num_partitions();
-      (void)DoCheckpoint(p, /*all_partitions=*/false);
+      (void)DoCheckpoint(*due, /*all_partitions=*/false);
     } else {
       (void)DoCheckpoint(kCheckpointAllPartitions, /*all_partitions=*/true);
     }
@@ -56,27 +60,27 @@ void CheckpointCoordinator::DaemonLoop() {
   }
 }
 
-uint32_t CheckpointCoordinator::PickPartition() {
+std::optional<uint32_t> CheckpointCoordinator::PickPartition() {
   std::lock_guard<std::mutex> g(ckpt_mu_);
-  const uint32_t n = log_->num_partitions();
-  // Hottest first: the partition whose stable log grew the most since its
-  // last visit has the most reclaimable history (and, file-backed, the
-  // most unlinkable segments). Scanning from the cursor breaks ties
-  // round-robin so equal growth still rotates fairly.
-  uint32_t best = cursor_ % n;
+  if (pinned_by_ != kNoPartition) return pinned_by_;
+  // Truncation frees whole segments, so a visit before a partition's log
+  // grew by one segment would mostly cost an all-partition flush and a
+  // page scan for nothing. Among the due partitions, the fastest-growing
+  // has the most to free.
+  std::optional<uint32_t> best;
   size_t best_growth = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t p = (cursor_ + i) % n;
+  for (uint32_t p = 0; p < log_->num_partitions(); ++p) {
     const size_t size = log_->PartitionStableSize(p);
-    const size_t growth =
-        size > size_at_last_visit_[p] ? size - size_at_last_visit_[p] : 0;
-    if (growth > best_growth) {
+    // A restart truncation or a global round can shrink a stream below
+    // its baseline; growth counts from the low point.
+    size_t& base = size_at_last_visit_[p];
+    base = std::min(base, size);
+    const size_t growth = size - base;
+    if (growth >= segment_bytes_ && growth > best_growth) {
       best = p;
       best_growth = growth;
     }
   }
-  if (best_growth == 0) best = cursor_ % n;  // idle system: round-robin
-  ++cursor_;
   return best;
 }
 
@@ -108,7 +112,9 @@ Status CheckpointCoordinator::DoCheckpoint(uint32_t partition,
   }
   const bool metrics = obs::MetricsEnabled();
   const uint64_t t0 = metrics ? Cycles::Now() : 0;
-  const uint64_t reclaimed_before = metrics ? log_->reclaimed_bytes() : 0;
+  const uint64_t reclaimed_before = log_->reclaimed_bytes();
+  const size_t size_before =
+      all_partitions ? 0 : log_->PartitionStableSize(partition);
 
   // (0) Catalog snapshot: the schema description must be durable before
   // this round may truncate any log it describes.
@@ -173,21 +179,40 @@ Status CheckpointCoordinator::DoCheckpoint(uint32_t partition,
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   pages_flushed_.fetch_add(scan.pages_flushed, std::memory_order_relaxed);
   pages_skipped_.fetch_add(scan.pages_skipped, std::memory_order_relaxed);
-  if (!all_partitions && partition < visits_.size()) {
-    // Adaptive-cadence baseline: growth is measured from the post-visit
-    // (post-truncation) size.
+
+  // (7) Trigger bookkeeping: growth is measured from the post-visit
+  // (post-truncation) size.
+  const uint64_t reclaimed = log_->reclaimed_bytes() - reclaimed_before;
+  if (all_partitions) {
+    for (uint32_t p = 0; p < log_->num_partitions(); ++p) {
+      size_at_last_visit_[p] = log_->PartitionStableSize(p);
+    }
+    pinned_by_ = kNoPartition;
+  } else {
     ++visits_[partition];
     size_at_last_visit_[partition] = log_->PartitionStableSize(partition);
+    if (pinned_by_ == partition) pinned_by_ = kNoPartition;
+    // No pinning by a cold partition: if another partition's dirty page
+    // set the horizon and this visit freed nothing of a segment's worth of
+    // log, that partition holds truncation back. Visit it next, whatever
+    // its growth. Requiring "freed nothing" keeps one visit from chaining
+    // into the next: under load nearly every horizon is bounded by some
+    // other partition's page, yet truncation still advances.
+    const bool page_bound = horizon == scan.min_rec_lsn &&
+                            scan.min_rec_partition < visits_.size();
+    if (options_.truncate && page_bound && reclaimed == 0 &&
+        size_before >= segment_bytes_) {
+      pinned_by_ = scan.min_rec_partition;
+    }
   }
   if (metrics) {
     static Histogram* dur = obs::MetricsRegistry::Default().GetHistogram(
         "ckpt.duration_ns", "ns");
     dur->Record(static_cast<uint64_t>(Cycles::ToNanos(Cycles::Now() - t0)));
-    const uint64_t reclaimed = log_->reclaimed_bytes();
-    if (reclaimed > reclaimed_before) {
+    if (reclaimed > 0) {
       static obs::Counter* trunc = obs::MetricsRegistry::Default().GetCounter(
           "ckpt.truncated_bytes", "bytes");
-      trunc->Add(reclaimed - reclaimed_before);
+      trunc->Add(reclaimed);
     }
   }
   return Status::OK();

@@ -5,8 +5,9 @@
 // pool, then write one global checkpoint record — and the stable log grew
 // without bound, so restart time scaled with total history. This daemon
 // decomposes the checkpoint the same way plog decomposed the append path:
-// it walks the log partitions round-robin and, per visit, runs one *fuzzy*
-// checkpoint of one partition, concurrent with transaction execution (no
+// it visits a log partition once that partition's stable log has grown by
+// one segment (the unit truncation frees) and, per visit, runs one *fuzzy*
+// checkpoint of that partition, concurrent with transaction execution (no
 // quiescence — executors keep appending and dirtying pages throughout):
 //
 //   1. snapshot `begin_lsn` from the log clock — every record stamped
@@ -30,6 +31,12 @@
 //   6. advance this partition's truncation point: reclaim its stable
 //      region below H.
 //
+// A visit whose horizon another partition's dirty page held below all of
+// this partition's log marks that partition for the next visit, whatever
+// its growth: a quiet partition holding one old dirty page would otherwise
+// never reach the trigger and would stop every other partition's
+// truncation for good.
+//
 // Recovery consumes the horizons instead of the global record: redo starts
 // at the maximum durable H (records below it never need replay), and with
 // truncation on, the on-disk log itself is bounded by the un-checkpointed
@@ -41,6 +48,7 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -57,18 +65,15 @@ class CheckpointCoordinator {
   struct Options {
     // Run the background daemon (manual Checkpoint* calls work either way).
     bool enabled = false;
-    // Pause between partition visits.
+    // Poll period: how often the daemon asks PickPartition whether a
+    // visit is due. An idle system is polled but never visited.
     uint64_t interval_us = 2000;
     // Reclaim each partition's stable log below the redo horizon.
     bool truncate = true;
     // false: every visit flushes the whole pool and writes one global
-    // record — the pre-plog behaviour, kept for A/B benchmarking.
+    // record — the pre-plog behaviour, kept for A/B benchmarking. The
+    // daemon runs a global round when any partition is due.
     bool partition_local = true;
-    // Adaptive cadence: weight the daemon's partition choice by stable-log
-    // growth since that partition's last visit, so hot partitions
-    // checkpoint (and, file-backed, unlink segments) more often. Falls
-    // back to round-robin when nothing grew. false: plain round-robin.
-    bool adaptive = true;
   };
 
   struct Stats {
@@ -77,13 +82,15 @@ class CheckpointCoordinator {
     uint64_t pages_skipped = 0;  // dirty pages left to other partitions
   };
 
+  // `segment_bytes` is the log's segment roll target: a partition is due
+  // for a visit once its stable log has grown by that much.
   CheckpointCoordinator(BufferPool* pool, LogBackend* log, TxnManager* txns,
-                        Options options);
+                        Options options, size_t segment_bytes);
   ~CheckpointCoordinator();
   CheckpointCoordinator(const CheckpointCoordinator&) = delete;
   CheckpointCoordinator& operator=(const CheckpointCoordinator&) = delete;
 
-  // Start/stop the round-robin daemon. Idempotent; Stop joins the thread
+  // Start/stop the daemon. Idempotent; Stop joins the thread
   // (a crashed process takes its checkpointer with it, so SimulateCrash
   // stops the daemon and Recover restarts it).
   void Start();
@@ -108,8 +115,8 @@ class CheckpointCoordinator {
     return last_horizon_.load(std::memory_order_acquire);
   }
   Stats stats() const;
-  // Completed checkpoint visits per log partition (adaptive-cadence
-  // observability: hot partitions should show more visits).
+  // Completed checkpoint visits per log partition (hot partitions should
+  // show more visits).
   std::vector<uint64_t> partition_visits() const;
   const Options& options() const { return options_; }
 
@@ -122,11 +129,11 @@ class CheckpointCoordinator {
     persist_catalog_ = std::move(fn);
   }
 
-  // The partition the adaptive daemon would visit next: the one whose
-  // stable log grew the most since its last visit, round-robin when
-  // nothing grew (Options::adaptive). Public for observability/tests;
-  // advances the round-robin cursor.
-  uint32_t PickPartition();
+  // The partition the daemon would visit next, if any: a partition marked
+  // as holding back another's truncation, else the one whose stable log
+  // grew the most since its last visit, provided it grew by at least one
+  // segment. nullopt when nothing is due.
+  std::optional<uint32_t> PickPartition();
 
  private:
   void DaemonLoop();
@@ -136,13 +143,17 @@ class CheckpointCoordinator {
   LogBackend* const log_;
   TxnManager* const txns_;
   const Options options_;
+  const size_t segment_bytes_;
   std::function<Status()> persist_catalog_;
 
   mutable std::mutex ckpt_mu_;  // serializes rounds (daemon + manual callers)
-  // Adaptive cadence bookkeeping, under ckpt_mu_: per-partition stable
-  // size at last visit, and completed visits.
+  // Trigger bookkeeping, under ckpt_mu_: per-partition stable size at
+  // last visit, completed visits, and the partition marked to visit next
+  // (kNoPartition when none).
+  static constexpr uint32_t kNoPartition = ~uint32_t{0};
   std::vector<size_t> size_at_last_visit_;
   std::vector<uint64_t> visits_;
+  uint32_t pinned_by_ = kNoPartition;
   std::atomic<Lsn> last_horizon_{0};
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> pages_flushed_{0};
@@ -150,7 +161,6 @@ class CheckpointCoordinator {
 
   std::atomic<bool> stop_{true};
   std::thread daemon_;
-  uint32_t cursor_ = 0;  // next partition to visit (daemon only)
 };
 
 }  // namespace ckpt

@@ -39,7 +39,8 @@ Database::Database(Options options)
       log_(MakeLogBackend(options)),
       txns_(std::make_unique<TxnManager>(lock_.get())),
       ckpt_(std::make_unique<ckpt::CheckpointCoordinator>(
-          pool_.get(), log_.get(), txns_.get(), options.checkpoint)),
+          pool_.get(), log_.get(), txns_.get(), options.checkpoint,
+          options.log_segment_bytes)),
       read_only_commits_(obs::MetricsRegistry::Default().GetCounter(
           "txn.read_only_commits", "txns")) {
   // Reopen ordering hazard: recovered log records can reference pages the

@@ -85,7 +85,9 @@ class Database {
     // application-side schema re-creation. Empty (default): both media
     // are in-memory vectors, the seed behaviour.
     std::string data_dir;
-    // Segment roll target for the file-backed log streams.
+    // Segment roll target for the file-backed log streams, and the
+    // checkpoint daemon's trigger: a partition is visited once its stable
+    // log has grown by this much (in memory too).
     size_t log_segment_bytes = 1 << 20;
     // Nonzero: run a background StatsReporter emitting one
     // "DORADB_STATS {json}" line to stderr per interval (src/obs/). Off by

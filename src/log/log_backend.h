@@ -89,8 +89,8 @@ class LogBackend {
   virtual uint64_t idle_syncs_skipped() const { return 0; }
   virtual size_t stable_size() const = 0;
   // One partition's stable bytes (the whole stream for single-stream
-  // backends) — the checkpoint coordinator weights its visit cadence by
-  // per-partition growth of this value.
+  // backends) — the checkpoint coordinator visits a partition once this
+  // value has grown by one segment.
   virtual size_t PartitionStableSize(uint32_t partition) const {
     (void)partition;
     return stable_size();

@@ -177,9 +177,11 @@ std::vector<LogRecord> LogManager::ReadStable() const {
 }
 
 void LogManager::ReclaimStableBelow(Lsn point) {
-  std::lock_guard<std::mutex> g(stable_mu_);
-  reclaimed_.fetch_add(stable_->ReclaimBelow(point),
-                       std::memory_order_relaxed);
+  // Unlinks and the directory fsync run unlocked: every committer flushes
+  // through stable_mu_.
+  reclaimed_.fetch_add(
+      ReclaimStable(stable_.get(), &stable_mu_, &poisoned_, point),
+      std::memory_order_relaxed);
 }
 
 void LogManager::FlipStableByte(size_t index) {

@@ -83,7 +83,8 @@ class LogManager final : public LogBackend {
   // Checkpoint truncation: drop whole stable records with lsn < point.
   // LSNs are byte offsets, but nothing indexes the stable region by
   // offset — records carry their own LSN and decode sequentially, so
-  // dropping a byte prefix keeps the stream self-describing.
+  // dropping a byte prefix keeps the stream self-describing. Segment
+  // unlinks and the directory fsync run after stable_mu_ is released.
   void ReclaimStableBelow(Lsn point) override;
   uint64_t reclaimed_bytes() const override {
     return reclaimed_.load(std::memory_order_relaxed);

@@ -23,13 +23,17 @@
 //    implementation drops whole sealed segments only. Survivors below a
 //    checkpoint horizon are redo-skipped by recovery, never harmful.
 //
-// Thread safety: none. The owning backend serializes every call under its
-// stable-region mutex.
+// Thread safety: none, with one exception. The owning backend serializes
+// every call under its stable-region mutex, except RemoveDetached, which
+// it calls after releasing the mutex (see ReclaimBelow).
 
 #ifndef DORADB_LOG_LOG_STORAGE_H_
 #define DORADB_LOG_LOG_STORAGE_H_
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "log/log_record.h"
@@ -60,6 +64,10 @@ class LogStorage {
   // the kernel's dirty pages marked clean, so a retry that "succeeds"
   // proves nothing about what reached the platter.
   virtual bool poisoned() const { return false; }
+  // Latch the stream poisoned with `s` (one-way); returns the parked
+  // error. For failures the owner observes outside the mutex
+  // (RemoveDetached); the owner records them under the mutex.
+  virtual Status Poison(Status s) { return s; }
 
   // True when Sync actually pays for durability (file-backed media): the
   // owner may then rate-limit watermark-only syncs for idle streams. The
@@ -84,8 +92,25 @@ class LogStorage {
   // Decode the whole stream in order; see DecodeRecordStream for `tail`.
   virtual std::vector<LogRecord> Decode(Status* tail) const = 0;
 
-  // Reclaim storage for records with lsn < point; returns bytes dropped.
-  virtual uint64_t ReclaimBelow(Lsn point) = 0;
+  // Checkpoint truncation runs in two phases, so that no file-system
+  // metadata work happens under the owner's mutex, which commit
+  // acknowledgements wait on:
+  //  1. ReclaimBelow (under the mutex) drops records with lsn < point
+  //     from the stream and returns what it detached;
+  //  2. RemoveDetached (after the mutex is released) deletes the detached
+  //     files and makes the deletion durable. It reads no mutable state
+  //     of the stream, so appends and flushes may run alongside it. A
+  //     non-OK result must be recorded through Poison under the mutex.
+  // ReclaimStable (below) runs both phases for an owner.
+  struct Reclaimed {
+    uint64_t bytes = 0;               // record bytes dropped
+    std::vector<std::string> files;   // detached files, for RemoveDetached
+  };
+  virtual Reclaimed ReclaimBelow(Lsn point) = 0;
+  virtual Status RemoveDetached(const std::vector<std::string>& files) const {
+    (void)files;
+    return Status::OK();
+  }
 
   // Drop every record with lsn > horizon, plus any torn tail bytes.
   virtual void TruncateTo(Lsn horizon) = 0;
@@ -97,6 +122,28 @@ class LogStorage {
   virtual void TearTail(size_t bytes) = 0;
   virtual void FlipByte(size_t index) = 0;
 };
+
+// Checkpoint truncation for an owner that serializes `stable` under `mu`
+// and mirrors its poison latch in `poisoned`: ReclaimBelow under the
+// mutex, RemoveDetached after releasing it, a failure recorded back under
+// it. Returns the record bytes dropped.
+inline uint64_t ReclaimStable(LogStorage* stable, std::mutex* mu,
+                              std::atomic<bool>* poisoned, Lsn point) {
+  LogStorage::Reclaimed r;
+  {
+    std::lock_guard<std::mutex> g(*mu);
+    r = stable->ReclaimBelow(point);
+    // Sealing the active segment can fail: the medium poisoned itself.
+    if (stable->poisoned()) poisoned->store(true, std::memory_order_release);
+  }
+  Status s = stable->RemoveDetached(r.files);
+  if (!s.ok()) {
+    std::lock_guard<std::mutex> g(*mu);
+    (void)stable->Poison(std::move(s));
+    poisoned->store(true, std::memory_order_release);
+  }
+  return r.bytes;
+}
 
 // The seed medium: one in-memory byte vector. Dies with the process.
 class MemoryLogStorage final : public LogStorage {
@@ -118,8 +165,8 @@ class MemoryLogStorage final : public LogStorage {
     return out;
   }
 
-  uint64_t ReclaimBelow(Lsn point) override {
-    return ReclaimLogPrefixBelow(&stable_, point);
+  Reclaimed ReclaimBelow(Lsn point) override {
+    return Reclaimed{ReclaimLogPrefixBelow(&stable_, point), {}};
   }
 
   void TruncateTo(Lsn horizon) override {

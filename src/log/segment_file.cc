@@ -154,21 +154,24 @@ std::string SegmentFileStorage::PathOf(uint64_t seq) const {
   return dir_ + "/" + name;
 }
 
-Status SegmentFileStorage::SyncDirectory() {
+Status SegmentFileStorage::FsyncDirectory() const {
   const int fd =
       FaultInjector::Default().Open(dir_.c_str(), O_RDONLY | O_DIRECTORY, 0);
   if (fd < 0) {
-    return Poison(Status::IOError("open(dir) " + dir_ + ": " +
-                                  std::strerror(errno)));
+    return Status::IOError("open(dir) " + dir_ + ": " + std::strerror(errno));
   }
   if (FaultInjector::Default().Fsync(fd, dir_.c_str()) != 0) {
     ::close(fd);
-    return Poison(Status::IOError("fsync(dir) " + dir_ + ": " +
-                                  std::strerror(errno)));
+    return Status::IOError("fsync(dir) " + dir_ + ": " + std::strerror(errno));
   }
   ::close(fd);
   DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
   return Status::OK();
+}
+
+Status SegmentFileStorage::SyncDirectory() {
+  Status s = FsyncDirectory();
+  return s.ok() ? s : Poison(std::move(s));
 }
 
 void SegmentFileStorage::OpenDir() {
@@ -468,37 +471,40 @@ std::vector<LogRecord> SegmentFileStorage::Decode(Status* tail) const {
   return out;
 }
 
-uint64_t SegmentFileStorage::ReclaimBelow(Lsn point) {
-  uint64_t freed = 0;
-  bool unlinked = false;
+LogStorage::Reclaimed SegmentFileStorage::ReclaimBelow(Lsn point) {
+  Reclaimed out;
+  auto detach = [&](const Segment& seg) {
+    out.files.push_back(PathOf(seg.seq));
+    out.bytes += seg.data_bytes;
+  };
   while (segments_.size() > 1 && segments_.front().max_lsn < point) {
-    const Segment seg = segments_.front();
-    OrDie(::unlink(PathOf(seg.seq).c_str()) == 0, "unlink", PathOf(seg.seq));
-    DurabilityStats::Count(stream_id_, DurabilityCounter::kSegmentsUnlinked);
-    freed += seg.data_bytes;
+    detach(segments_.front());
     segments_.erase(segments_.begin());
-    unlinked = true;
   }
-  // The active segment too, when it is wholly below the horizon: seal,
-  // unlink, start fresh — the checkpoint vouches nothing in it is needed.
+  // The active segment too, when it is wholly below the horizon: seal it
+  // and start fresh — the checkpoint vouches nothing in it is needed. The
+  // fresh segment is created here, under the owner's mutex, because the
+  // next append needs it; the sealed file is detached like the others.
+  // A failed seal poisons the stream and keeps the segment on disk; the
+  // segments detached above still go.
   if (segments_.size() == 1 && segments_.front().data_bytes > 0 &&
       segments_.front().max_lsn != 0 && segments_.front().max_lsn < point &&
-      !poisoned_) {
-    const Segment seg = segments_.front();
-    if (!SealActive().ok()) {
-      // The checkpoint vouches for the records, but a poisoned stream
-      // accepts no fresh active segment; keep what is on disk.
-      return freed;
-    }
-    OrDie(::unlink(PathOf(seg.seq).c_str()) == 0, "unlink", PathOf(seg.seq));
-    DurabilityStats::Count(stream_id_, DurabilityCounter::kSegmentsUnlinked);
-    freed += seg.data_bytes;
+      !poisoned_ && SealActive().ok()) {
+    detach(segments_.front());
     segments_.clear();
-    if (!CreateActive(next_seq_++, durable_watermark_).ok()) return freed;
-    unlinked = true;
+    (void)CreateActive(next_seq_++, durable_watermark_);
   }
-  if (unlinked) (void)SyncDirectory();
-  return freed;
+  return out;
+}
+
+Status SegmentFileStorage::RemoveDetached(
+    const std::vector<std::string>& files) const {
+  if (files.empty()) return Status::OK();
+  for (const std::string& path : files) {
+    OrDie(::unlink(path.c_str()) == 0, "unlink", path);
+    DurabilityStats::Count(stream_id_, DurabilityCounter::kSegmentsUnlinked);
+  }
+  return FsyncDirectory();
 }
 
 void SegmentFileStorage::TruncateTo(Lsn horizon) {

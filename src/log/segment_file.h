@@ -24,10 +24,11 @@
 // Seal/unlink protocol: when the active segment reaches the target size,
 // it is fsynced, closed, and a new active segment is created (the new
 // file and the directory entry are fsynced before any append). Checkpoint
-// truncation (ReclaimBelow) unlinks sealed segments whose max record LSN
+// truncation (ReclaimBelow) detaches sealed segments whose max record LSN
 // sits below the redo horizon — whole files, no rewriting; if even the
-// active segment is wholly below the horizon it is sealed and unlinked
-// too, leaving a fresh empty active segment.
+// active segment is wholly below the horizon it is sealed and detached
+// too, leaving a fresh empty active segment. RemoveDetached then unlinks
+// the detached files and fsyncs the directory, outside the owner's mutex.
 //
 // Open scan (cold start): segment files are discovered by name, decoded
 // oldest-first, and the stream is physically truncated at the first
@@ -64,6 +65,8 @@ class SegmentFileStorage final : public LogStorage {
   Status Sync(Lsn watermark) override;
   bool durable() const override { return true; }
   bool poisoned() const override { return poisoned_; }
+  // Latch the stream failed (one-way); records + degrades engine health.
+  Status Poison(Status s) override;
   Lsn recovered_watermark() const override { return recovered_watermark_; }
   Lsn recovered_last_lsn() const override { return recovered_last_lsn_; }
   Lsn recovered_stream_end() const override { return recovered_stream_end_; }
@@ -71,7 +74,8 @@ class SegmentFileStorage final : public LogStorage {
     return recovered_max_page_id_;
   }
   std::vector<LogRecord> Decode(Status* tail) const override;
-  uint64_t ReclaimBelow(Lsn point) override;
+  Reclaimed ReclaimBelow(Lsn point) override;
+  Status RemoveDetached(const std::vector<std::string>& files) const override;
   void TruncateTo(Lsn horizon) override;
   size_t size() const override;
   size_t segment_count() const override { return segments_.size(); }
@@ -97,12 +101,14 @@ class SegmentFileStorage final : public LogStorage {
   Status CreateActive(uint64_t seq, Lsn watermark);
   // fsync + close the active segment.
   Status SealActive();
+  // fsync the directory, so entry creations and removals survive a crash.
+  // Touches no mutable state (RemoveDetached runs it unlocked); the
+  // callers under the owner's mutex use SyncDirectory, which poisons.
+  Status FsyncDirectory() const;
   Status SyncDirectory();
   // Read one segment's record bytes (header stripped).
   bool ReadSegment(const Segment& seg, std::vector<uint8_t>* out) const;
   Status WriteHeaderWatermark(int fd, Lsn watermark, uint64_t covered_len);
-  // Latch the stream failed (one-way); records + degrades engine health.
-  Status Poison(Status s);
 
   const std::string dir_;
   const uint32_t stream_id_;

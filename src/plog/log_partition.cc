@@ -158,9 +158,11 @@ std::vector<LogRecord> LogPartition::ReadStable(Status* tail) const {
 }
 
 void LogPartition::ReclaimStableBelow(Lsn point) {
-  std::lock_guard<std::mutex> g(stable_mu_);
-  reclaimed_.fetch_add(stable_->ReclaimBelow(point),
-                       std::memory_order_relaxed);
+  // Unlinks and the directory fsync run unlocked: every commit ack waits
+  // on stable_mu_ through the min-over-partitions flush horizon.
+  reclaimed_.fetch_add(
+      ReclaimStable(stable_.get(), &stable_mu_, &poisoned_, point),
+      std::memory_order_relaxed);
 }
 
 void LogPartition::FlipStableByte(size_t index) {

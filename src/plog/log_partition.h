@@ -111,7 +111,8 @@ class LogPartition {
   // can still need them for undo. The memory medium drops the exact byte
   // prefix; segment files seal and unlink whole segments whose max GSN
   // sits below the point — either way the surviving stream remains a
-  // decodable GSN-ordered suffix of the append stream.
+  // decodable GSN-ordered suffix of the append stream. The unlinks and
+  // the directory fsync run after stable_mu_ is released.
   void ReclaimStableBelow(Lsn point);
   uint64_t reclaimed_bytes() const {
     return reclaimed_.load(std::memory_order_relaxed);

@@ -322,11 +322,13 @@ Status BufferPool::FlushPartition(uint32_t partition, bool all_partitions,
       if (!f.dirty.load(std::memory_order_relaxed)) return false;
       const Lsn rec_lsn = f.rec_lsn.load(std::memory_order_relaxed);
       if (rec_lsn == kInvalidLsn) return false;  // unlogged; see header
-      if (all_partitions ||
-          f.writer_partition.load(std::memory_order_relaxed) == partition) {
-        return true;
+      const uint32_t writer =
+          f.writer_partition.load(std::memory_order_relaxed);
+      if (all_partitions || writer == partition) return true;
+      if (rec_lsn < scan->min_rec_lsn) {
+        scan->min_rec_lsn = rec_lsn;
+        scan->min_rec_partition = writer;
       }
-      if (rec_lsn < scan->min_rec_lsn) scan->min_rec_lsn = rec_lsn;
       ++scan->pages_skipped;
       return false;
     });

@@ -111,6 +111,9 @@ class BufferPool {
     // Minimum rec_lsn over dirty pages left unflushed by this scan (~0 if
     // none): the pool's contribution to the checkpoint redo horizon.
     Lsn min_rec_lsn = ~Lsn{0};
+    // writer_partition of the page that set min_rec_lsn: the partition
+    // whose checkpoint would lift this bound.
+    uint32_t min_rec_partition = kNoWriterPartition;
     size_t pages_flushed = 0;   // dirty pages written back by this scan
     size_t pages_skipped = 0;   // dirty pages left to other partitions
   };

@@ -32,6 +32,7 @@
 #include "obs/watchdog.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
+#include "util/sync_stats.h"
 
 namespace doradb {
 namespace {
@@ -228,6 +229,102 @@ TEST(FaultTest, StickyFsyncFailureDegradesAndPreservesAckedCommits) {
     } else {
       EXPECT_EQ(out, "acked-" + std::to_string(r));
     }
+  }
+}
+
+// ------------------------------ a failed seal during checkpoint truncation
+
+size_t SegmentFilesIn(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().filename().string().rfind("seg-", 0) == 0) ++n;
+  }
+  return n;
+}
+
+uint64_t StreamFsyncs(uint32_t stream) {
+  for (const auto& row : DurabilityStats::Snapshot()) {
+    if (row.stream == stream) {
+      return row.counts[static_cast<size_t>(DurabilityCounter::kFsyncCalls)];
+    }
+  }
+  return 0;
+}
+
+TEST(FaultTest, FailedSealDuringReclaimStillSyncsTheUnlinks) {
+  InjectorGuard guard;
+  const std::string dir = TempFaultDir("reclaim_seal");
+  Database::Options opts = DurableOpts(dir, LogBackendKind::kPartitioned);
+  opts.log_segment_bytes = 512;  // roll every few commits
+  // The checkpoint below must not truncate: the test reclaims by hand,
+  // with the fault armed.
+  opts.checkpoint.truncate = false;
+  auto db = std::make_unique<Database>(opts);
+  db->log_manager()->BindThisThread(1);
+  TableId table;
+  ASSERT_TRUE(db->catalog()->CreateTable("t", &table).ok());
+  constexpr int kRows = 4;
+  std::vector<Rid> rids(kRows);
+  {
+    auto txn = db->Begin();
+    for (int r = 0; r < kRows; ++r) {
+      ASSERT_TRUE(db->Insert(txn.get(), table, "base", &rids[r],
+                             AccessOptions::Baseline()).ok());
+    }
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(CommitValue(db.get(), table, rids[i % kRows],
+                            "acked-" + std::to_string(i))
+                    .ok());
+  }
+  const std::string stream_dir = dir + "/plog-1";
+  ASSERT_GT(SegmentFilesIn(stream_dir), 1u) << "partition 1 must have rolled";
+
+  // A commit and then a global checkpoint from partition 0: both land in
+  // partition 0's stream, so all of partition 1 — sealed segments and the
+  // active one — lies below the horizon.
+  db->log_manager()->BindThisThread(0);
+  {
+    auto txn = db->Begin();
+    Rid rid;
+    ASSERT_TRUE(db->Insert(txn.get(), table, "p0", &rid,
+                           AccessOptions::Baseline()).ok());
+    ASSERT_TRUE(db->Commit(txn.get()).ok());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const Lsn horizon = db->checkpointer()->last_horizon();
+
+  // Reclaim partition 1: the sealed segments are detached, then sealing
+  // the active segment fails its fdatasync and poisons the stream.
+  FaultPlan plan = WalPlan(FaultOp::kFdatasync);
+  plan.path_substr = "plog-1/seg-";
+  FaultInjector::Default().Arm(plan);
+  const uint64_t fsyncs_before = StreamFsyncs(1);
+  db->log_manager()->ReclaimPartitionBelow(1, horizon);
+  EXPECT_EQ(FaultInjector::Default().injected(), 1u);
+  EXPECT_GT(db->log_manager()->reclaimed_bytes(), 0u);
+  EXPECT_EQ(SegmentFilesIn(stream_dir), 1u)
+      << "the sealed segments go; the unsealed active one stays";
+  EXPECT_EQ(StreamFsyncs(1) - fsyncs_before, 1u)
+      << "the unlinks must be made durable by a directory fsync";
+  EXPECT_TRUE(obs::EngineHealth::Default().degraded());
+  db->log_manager()->BindThisThread(1);
+  const Status s = CommitValue(db.get(), table, rids[0], "never");
+  EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
+
+  // Kill, heal, reopen: every acknowledged commit is there.
+  db->SimulateKill();
+  db.reset();
+  FaultInjector::Default().Reset();
+  db = std::make_unique<Database>(opts);
+  ASSERT_TRUE(db->catalog_load_status().ok());
+  ASSERT_TRUE(db->Recover(nullptr).ok());
+  table = db->catalog()->GetTable("t")->id;
+  for (int r = 0; r < kRows; ++r) {
+    std::string out;
+    ASSERT_TRUE(db->catalog()->Heap(table)->Get(rids[r], &out).ok());
+    EXPECT_EQ(out, "acked-" + std::to_string(16 + r));
   }
 }
 
