@@ -432,7 +432,8 @@ Status Database::Abort(Transaction* txn) {
 Status Database::Read(Transaction* txn, TableId table, const Rid& rid,
                       std::string* record, const AccessOptions& opts) {
   if (opts.use_locks) {
-    DORADB_RETURN_NOT_OK(lock_->LockRow(txn, table, rid, LockMode::kS));
+    DORADB_RETURN_NOT_OK(lock_->LockRow(
+        txn, table, rid, opts.for_update ? LockMode::kX : LockMode::kS));
   }
   return catalog_->Heap(table)->Get(rid, record);
 }

@@ -45,6 +45,10 @@ struct AccessOptions {
   // DORA §4.2.1: inserts/deletes acquire only the row (RID) lock, skipping
   // the intention-lock hierarchy.
   bool rid_lock_only = false;
+  // Update intent: with use_locks, Read takes the row's X lock (table IX)
+  // instead of S, so a read-then-update never converts S to X. Baseline
+  // read-modify-write sites set it.
+  bool for_update = false;
 
   static AccessOptions Baseline() { return AccessOptions{true, false}; }
   // DORA probe/update inside an executor: no centralized CC at all.

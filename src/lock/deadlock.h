@@ -1,12 +1,13 @@
 // Deadlock detection over an explicit waits-for graph.
 //
 // Every blocked transaction records the set of transactions it waits for
-// (snapshotted under the lock-head latch). Waiters poll the detector while
-// blocked; a waiter that finds itself on a cycle self-aborts with
-// Status::Deadlock, releasing its locks and breaking the cycle. A timeout
-// backstop catches anything detection misses (e.g. edges that became stale
-// mid-walk). Detection work is charged to TimeClass::kLockOther — the
-// "Other" slice of the paper's Fig. 3 lock-manager breakdown.
+// (snapshotted under the lock-head latch). A waiter runs the detector once
+// when it blocks and again every detect_interval_us while parked; a waiter
+// that finds itself on a cycle self-aborts with Status::Deadlock,
+// releasing its locks and breaking the cycle. A timeout backstop catches
+// anything detection misses (e.g. edges that became stale mid-walk).
+// Detection work is charged to TimeClass::kLockOther — the "Other" slice
+// of the paper's Fig. 3 lock-manager breakdown.
 
 #ifndef DORADB_LOCK_DEADLOCK_H_
 #define DORADB_LOCK_DEADLOCK_H_

@@ -1,7 +1,9 @@
 #include "lock/lock_manager.h"
 
+#include <algorithm>
+
 #include "txn/transaction.h"
-#include "util/clock.h"
+#include "util/mpsc_queue.h"
 
 namespace doradb {
 
@@ -98,22 +100,26 @@ void LockManager::Unlink(LockHead* head, LockRequest* req) {
   req->target_mode = LockMode::kNL;
 }
 
+void LockManager::Grant(LockRequest* q) {
+  q->granted_mode = q->target_mode;
+  if (q->grant.exchange(LockRequest::kGranted, std::memory_order_acq_rel) ==
+      LockRequest::kParked) {
+    detail::FutexWake(&q->grant);
+  }
+}
+
 void LockManager::GrantWaiters(LockHead* head) {
   // Pass 1: pending upgrades jump the queue (they already hold a weaker
   // mode; waiting behind new arrivals could deadlock them).
   for (LockRequest* q = head->first; q != nullptr; q = q->next) {
     if (!q->Waiting() || q->granted_mode == LockMode::kNL) continue;
-    if (CompatibleWithOthers(head, q, q->target_mode)) {
-      q->granted_mode = q->target_mode;
-      q->granted.store(true, std::memory_order_release);
-    }
+    if (CompatibleWithOthers(head, q, q->target_mode)) Grant(q);
   }
   // Pass 2: FIFO grants; the first ungrantable waiter is a barrier.
   for (LockRequest* q = head->first; q != nullptr; q = q->next) {
     if (!q->Waiting()) continue;
     if (!CompatibleWithOthers(head, q, q->target_mode)) break;
-    q->granted_mode = q->target_mode;
-    q->granted.store(true, std::memory_order_release);
+    Grant(q);
   }
 }
 
@@ -146,35 +152,37 @@ std::vector<TxnId> LockManager::BlockersOf(LockHead* head,
 
 Status LockManager::WaitForGrant(Transaction* txn, LockRequest* req) {
   ScopedTimeClass timer(TimeClass::kLockWait);
-  const uint64_t start = Cycles::Now();
-  const double per_us = Cycles::PerNanosecond() * 1000.0;
-  const uint64_t timeout_cycles =
-      static_cast<uint64_t>(options_.wait_timeout_us * per_us);
-  const uint64_t detect_cycles =
-      static_cast<uint64_t>(options_.detect_interval_us * per_us);
-  uint64_t next_detect = start + detect_cycles;
-  uint32_t spins = 0;
+  const bool detect = options_.deadlock_detection;
+  // Block-time check: the waits-for edges are already published, so of
+  // two transactions closing a cycle the second to publish sees it.
+  if (detect && detector_.WouldDeadlock(txn->id())) {
+    return Status::Deadlock("waits-for cycle detected");
+  }
+  const uint64_t start = detail::SteadyMicros();
+  const uint64_t deadline = start + options_.wait_timeout_us;
+  uint64_t next_detect = start + options_.detect_interval_us;
   for (;;) {
-    if (req->granted.load(std::memory_order_acquire)) return Status::OK();
-    if (req->victim.load(std::memory_order_acquire)) {
-      return Status::Deadlock("chosen as deadlock victim");
-    }
-    const uint64_t now = Cycles::Now();
-    if (now - start > timeout_cycles) {
-      return Status::Timeout("lock wait timeout");
-    }
-    if (options_.deadlock_detection && now > next_detect) {
+    uint32_t word = req->grant.load(std::memory_order_acquire);
+    if (word == LockRequest::kGranted) return Status::OK();
+    const uint64_t now = detail::SteadyMicros();
+    if (now >= deadline) return Status::Timeout("lock wait timeout");
+    if (detect && now >= next_detect) {
       if (detector_.WouldDeadlock(txn->id())) {
         return Status::Deadlock("waits-for cycle detected");
       }
-      next_detect = now + detect_cycles;
+      next_detect = now + options_.detect_interval_us;
     }
-    if (spins < 64) {
-      CpuRelax();
-      ++spins;
-    } else {
-      NapMicros(20);  // blocked: stay off the CPU, the paper's systems block
+    if (word == LockRequest::kPending &&
+        !req->grant.compare_exchange_strong(word, LockRequest::kParked,
+                                            std::memory_order_acquire)) {
+      continue;  // granted meanwhile
     }
+    // Sleep until the granter wakes us, the next detector pass, the
+    // timeout, or kMaxParkUs, whichever comes first.
+    uint64_t until = std::min(deadline, now + kMaxParkUs);
+    if (detect) until = std::min(until, next_detect);
+    detail::FutexWait(&req->grant, LockRequest::kParked,
+                      static_cast<int64_t>(until - now));
   }
 }
 
@@ -198,10 +206,10 @@ Status LockManager::Lock(Transaction* txn, const LockId& id, LockMode mode) {
     req->target_mode = target;
     if (CompatibleWithOthers(head, req, target)) {
       req->granted_mode = target;
-      req->granted.store(true, std::memory_order_release);
+      req->grant.store(LockRequest::kGranted, std::memory_order_relaxed);
       immediate = true;
     } else {
-      req->granted.store(false, std::memory_order_relaxed);
+      req->grant.store(LockRequest::kPending, std::memory_order_relaxed);
     }
   } else {
     req = txn->NewRequest();
@@ -210,8 +218,7 @@ Status LockManager::Lock(Transaction* txn, const LockId& id, LockMode mode) {
     req->lock_id = id;
     req->granted_mode = LockMode::kNL;
     req->target_mode = target;
-    req->granted.store(false, std::memory_order_relaxed);
-    req->victim.store(false, std::memory_order_relaxed);
+    req->grant.store(LockRequest::kPending, std::memory_order_relaxed);
     req->prev = head->last;
     req->next = nullptr;
     if (head->last != nullptr) {
@@ -223,7 +230,7 @@ Status LockManager::Lock(Transaction* txn, const LockId& id, LockMode mode) {
     if (!AnyWaitersBefore(head, req) &&
         CompatibleWithOthers(head, req, target)) {
       req->granted_mode = target;
-      req->granted.store(true, std::memory_order_release);
+      req->grant.store(LockRequest::kGranted, std::memory_order_relaxed);
       immediate = true;
     }
   }
@@ -233,7 +240,7 @@ Status LockManager::Lock(Transaction* txn, const LockId& id, LockMode mode) {
   head->latch.Unlock(&qn);
 
   if (immediate) {
-    if (existing == nullptr) txn->PushHeld(id, req);
+    if (existing == nullptr) txn->PushHeld(req);
     return Status::OK();
   }
 
@@ -242,17 +249,17 @@ Status LockManager::Lock(Transaction* txn, const LockId& id, LockMode mode) {
   const Status ws = WaitForGrant(txn, req);
   txn->ClearWaitsFor();
   if (ws.ok()) {
-    if (existing == nullptr) txn->PushHeld(id, req);
+    if (existing == nullptr) txn->PushHeld(req);
     return Status::OK();
   }
 
   // Give up: unlink (or abandon the upgrade) under the head latch.
   McsLock::QNode qn2;
   head->latch.Lock(&qn2, TimeClass::kLockAcquireContention);
-  if (req->granted.load(std::memory_order_acquire)) {
+  if (req->grant.load(std::memory_order_acquire) == LockRequest::kGranted) {
     // Granted in the race window before we re-latched; accept it.
     head->latch.Unlock(&qn2);
-    if (existing == nullptr) txn->PushHeld(id, req);
+    if (existing == nullptr) txn->PushHeld(req);
     return Status::OK();
   }
   if (req->granted_mode == LockMode::kNL) {
@@ -300,7 +307,7 @@ void LockManager::ReleaseAll(Transaction* txn) {
   const auto held = txn->TakeHeldLocks();
   // Youngest-first release order, as in Shore-MT (§3).
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    LockRequest* req = it->req;
+    LockRequest* req = *it;
     LockHead* head = req->head;
     McsLock::QNode qn;
     head->latch.Lock(&qn, TimeClass::kLockReleaseContention);
@@ -308,7 +315,7 @@ void LockManager::ReleaseAll(Transaction* txn) {
     GrantWaiters(head);
     const bool empty = head->first == nullptr;
     head->latch.Unlock(&qn);
-    if (empty) MaybeReapHead(it->id);
+    if (empty) MaybeReapHead(req->lock_id);
   }
 }
 

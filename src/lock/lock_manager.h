@@ -13,8 +13,11 @@
 // The latch on each lock head is a queue-based MCS spinlock; time spent
 // spinning on it is charged to kLockAcquireContention/kLockReleaseContention
 // so the benchmarks can reproduce the paper's Figs. 1-3 breakdowns. Grants
-// are FIFO (upgrades jump the queue); deadlocks are resolved by waiter-side
-// waits-for-graph detection with a timeout backstop.
+// are FIFO (upgrades jump the queue). A blocked requester parks on a futex
+// word in its request and the releasing thread wakes it. Deadlocks are
+// resolved by waiter-side waits-for-graph detection, once when a request
+// blocks and then every detect_interval_us, with a timeout backstop. See
+// src/lock/README.md.
 
 #ifndef DORADB_LOCK_LOCK_MANAGER_H_
 #define DORADB_LOCK_LOCK_MANAGER_H_
@@ -50,7 +53,9 @@ class LockManager {
  public:
   struct Options {
     uint64_t wait_timeout_us = 2000000;   // blocked-wait backstop
-    uint64_t detect_interval_us = 500;    // deadlock-poll period while blocked
+    // Period of the waiter's deadlock re-check while blocked (after the
+    // check made when it blocks).
+    uint64_t detect_interval_us = 500;
     bool deadlock_detection = true;
   };
 
@@ -95,6 +100,10 @@ class LockManager {
 
  private:
   static constexpr size_t kNumBuckets = 1 << 13;
+  // Longest single park. The releaser's wake normally ends a park within
+  // microseconds, but a wake that lands on a descheduled virtual CPU can
+  // take milliseconds; the waiter's own timer bounds that delay.
+  static constexpr uint64_t kMaxParkUs = 50;
 
   struct Bucket {
     TatasLock latch;
@@ -116,6 +125,11 @@ class LockManager {
   static bool AnyWaitersBefore(LockHead* head, const LockRequest* self);
   static void Unlink(LockHead* head, LockRequest* req);
 
+  // Grant `q` its target mode and wake its owner if it is parked. Called
+  // with the head latched: `q` stays linked until its owner re-latches the
+  // head, so the wake never touches a released request.
+  static void Grant(LockRequest* q);
+
   // Grant any waiters whose requests are now compatible (FIFO; pending
   // upgrades first). Called with the head latched.
   static void GrantWaiters(LockHead* head);
@@ -124,8 +138,10 @@ class LockManager {
   static std::vector<TxnId> BlockersOf(LockHead* head,
                                        const LockRequest* self);
 
-  // Blocked-wait loop: polls grant/victim flags, runs deadlock detection,
-  // enforces the timeout. Returns OK / Deadlock / Timeout.
+  // Blocked wait: checks for a deadlock once, then parks on the request's
+  // futex word until granted (each park at most kMaxParkUs), re-checking
+  // for a deadlock every detect_interval_us and giving up after
+  // wait_timeout_us. Returns OK / Deadlock / Timeout.
   Status WaitForGrant(Transaction* txn, LockRequest* req);
 
   // Try to garbage-collect a (probably) empty head.

@@ -6,6 +6,7 @@
 #define DORADB_LOCK_LOCK_REQUEST_H_
 
 #include <atomic>
+#include <cstdint>
 
 #include "lock/lock_id.h"
 #include "lock/lock_mode.h"
@@ -23,10 +24,13 @@ struct LockRequest {
   LockMode granted_mode = LockMode::kNL;
   // Mode the request wants; > granted_mode while an upgrade is pending.
   LockMode target_mode = LockMode::kNL;
-  // Wait protocol: the releasing thread sets granted; the waiter spins/naps
-  // on it. The deadlock detector may set victim instead.
-  std::atomic<bool> granted{false};
-  std::atomic<bool> victim{false};
+  // Wait protocol (a futex word): a blocked requester moves kPending to
+  // kParked and sleeps on the word; the granting thread stores kGranted
+  // under the head latch and wakes the sleeper only if it saw kParked.
+  static constexpr uint32_t kPending = 0;
+  static constexpr uint32_t kParked = 1;
+  static constexpr uint32_t kGranted = 2;
+  std::atomic<uint32_t> grant{kPending};
 
   LockRequest* next = nullptr;
   LockRequest* prev = nullptr;

@@ -110,7 +110,7 @@ bool DecodeHeader(const uint8_t in[kHeaderBytes], Lsn* watermark,
 
 SegmentFileStorage::SegmentFileStorage(std::string dir, uint32_t stream_id,
                                        Options options)
-    : dir_(std::move(dir)), stream_id_(stream_id), options_(options) {
+    : dir_(std::move(dir)), durability_(stream_id), options_(options) {
   OpenDir();
 }
 
@@ -165,7 +165,7 @@ Status SegmentFileStorage::FsyncDirectory() const {
     return Status::IOError("fsync(dir) " + dir_ + ": " + std::strerror(errno));
   }
   ::close(fd);
-  DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
+  durability_.Count(DurabilityCounter::kFsyncCalls);
   return Status::OK();
 }
 
@@ -272,7 +272,7 @@ void SegmentFileStorage::OpenDir() {
         return;
       }
       ::close(fd);
-      DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
+      durability_.Count(DurabilityCounter::kFsyncCalls);
       stream_broken = true;
     }
     seg.data_bytes = clean;
@@ -340,7 +340,7 @@ Status SegmentFileStorage::CreateActive(uint64_t seq, Lsn watermark) {
     return Poison(std::move(s));
   }
   DORADB_RETURN_NOT_OK(SyncDirectory());
-  DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
+  durability_.Count(DurabilityCounter::kFsyncCalls);
   Segment seg;
   seg.seq = seq;
   segments_.push_back(seg);
@@ -363,8 +363,8 @@ Status SegmentFileStorage::SealActive() {
   ::close(active_fd_);
   active_fd_ = -1;
   dirty_ = false;
-  DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
-  DurabilityStats::Count(stream_id_, DurabilityCounter::kSegmentsSealed);
+  durability_.Count(DurabilityCounter::kFsyncCalls);
+  durability_.Count(DurabilityCounter::kSegmentsSealed);
   return Status::OK();
 }
 
@@ -384,7 +384,7 @@ Status SegmentFileStorage::AppendBatch(const uint8_t* data, size_t n,
   seg.max_lsn = last_lsn == kInvalidLsn ? kPinnedLsn
                                         : std::max(seg.max_lsn, last_lsn);
   dirty_ = true;
-  DurabilityStats::Count(stream_id_, DurabilityCounter::kBytesFlushed, n);
+  durability_.Count(DurabilityCounter::kBytesFlushed, n);
   return Status::OK();
 }
 
@@ -421,7 +421,7 @@ Status SegmentFileStorage::Sync(Lsn watermark) {
   }
   if (advance) durable_watermark_ = watermark;
   dirty_ = false;
-  DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
+  durability_.Count(DurabilityCounter::kFsyncCalls);
   return Status::OK();
 }
 
@@ -502,7 +502,7 @@ Status SegmentFileStorage::RemoveDetached(
   if (files.empty()) return Status::OK();
   for (const std::string& path : files) {
     OrDie(::unlink(path.c_str()) == 0, "unlink", path);
-    DurabilityStats::Count(stream_id_, DurabilityCounter::kSegmentsUnlinked);
+    durability_.Count(DurabilityCounter::kSegmentsUnlinked);
   }
   return FsyncDirectory();
 }
@@ -564,7 +564,7 @@ void SegmentFileStorage::TruncateTo(Lsn horizon) {
                                    std::strerror(errno)));
       return;
     }
-    DurabilityStats::Count(stream_id_, DurabilityCounter::kFsyncCalls);
+    durability_.Count(DurabilityCounter::kFsyncCalls);
     (void)SyncDirectory();
     dirty_ = false;
     return;

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "log/log_storage.h"
+#include "util/sync_stats.h"
 
 namespace doradb {
 
@@ -111,7 +112,7 @@ class SegmentFileStorage final : public LogStorage {
   Status WriteHeaderWatermark(int fd, Lsn watermark, uint64_t covered_len);
 
   const std::string dir_;
-  const uint32_t stream_id_;
+  const DurabilityStats::Stream durability_;
   const Options options_;
 
   std::vector<Segment> segments_;  // oldest..newest; back() is active

@@ -32,6 +32,7 @@ DiskManager::DiskManager(const std::string& data_dir,
                          uint64_t simulated_latency_ns)
     : simulated_latency_ns_(simulated_latency_ns) {
   if (data_dir.empty()) return;
+  durability_ = DurabilityStats::Stream(kPageStoreStream);
   std::error_code ec;
   std::filesystem::create_directories(data_dir, ec);
   path_ = data_dir + "/pages.db";
@@ -199,8 +200,7 @@ Status DiskManager::WritePage(PageId page_id, const void* data) {
       ++attempts;
     }
     writes_.fetch_add(1, std::memory_order_relaxed);
-    DurabilityStats::Count(kPageStoreStream,
-                           DurabilityCounter::kBytesFlushed, kPageSize);
+    durability_.Count(DurabilityCounter::kBytesFlushed, kPageSize);
     return Status::OK();
   }
   uint8_t* frame = FrameFor(page_id);
@@ -229,7 +229,7 @@ Status DiskManager::Sync() {
         "pages.fsync_ns", "ns");
     h->Record(static_cast<uint64_t>(Cycles::ToNanos(Cycles::Now() - t0)));
   }
-  DurabilityStats::Count(kPageStoreStream, DurabilityCounter::kFsyncCalls);
+  durability_.Count(DurabilityCounter::kFsyncCalls);
   return Status::OK();
 }
 

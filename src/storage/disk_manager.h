@@ -24,6 +24,7 @@
 
 #include "storage/types.h"
 #include "util/status.h"
+#include "util/sync_stats.h"
 
 namespace doradb {
 
@@ -94,6 +95,7 @@ class DiskManager {
 
   int fd_ = -1;  // pages.db (file-backed mode only)
   std::string path_;
+  DurabilityStats::Stream durability_;  // file-backed mode only
   bool poisoned_ = false;
   Status io_status_;
 

@@ -5,6 +5,7 @@
 #ifndef DORADB_TXN_TRANSACTION_H_
 #define DORADB_TXN_TRANSACTION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -92,22 +93,20 @@ class Transaction {
     return &request_pool_.back();
   }
 
-  struct HeldLock {
-    LockId id;
-    LockRequest* req;
-  };
-
-  void PushHeld(const LockId& id, LockRequest* req) {
+  // Record a newly granted request (its lock_id is set).
+  void PushHeld(LockRequest* req) {
     TatasGuard g(bk_lock_, TimeClass::kLockOther);
-    held_locks_.push_back(HeldLock{id, req});
+    held_locks_.push_back(req);
+    IndexHeld(req);
   }
 
   // Snapshot + clear, for ReleaseAll (the transaction is quiescent then,
   // but the snapshot keeps the invariant simple).
-  std::vector<HeldLock> TakeHeldLocks() {
+  std::vector<LockRequest*> TakeHeldLocks() {
     TatasGuard g(bk_lock_, TimeClass::kLockOther);
-    std::vector<HeldLock> out;
+    std::vector<LockRequest*> out;
     out.swap(held_locks_);
+    held_index_.clear();
     return out;
   }
 
@@ -116,12 +115,15 @@ class Transaction {
     return held_locks_.size();
   }
 
+  // The lock cache: O(1) whatever the number of held locks.
   LockRequest* FindHeld(const LockId& id) {
     TatasGuard g(bk_lock_, TimeClass::kLockOther);
-    for (const auto& h : held_locks_) {
-      if (h.id == id) return h.req;
+    if (held_index_.empty()) return nullptr;
+    const size_t mask = held_index_.size() - 1;
+    for (size_t i = LockIdHash()(id) & mask;; i = (i + 1) & mask) {
+      LockRequest* r = held_index_[i];
+      if (r == nullptr || r->lock_id == id) return r;
     }
-    return nullptr;
   }
 
   // Append a log record chained to this transaction (sets prev_lsn, updates
@@ -180,6 +182,22 @@ class Transaction {
   std::vector<std::function<void()>>& post_commit() { return post_commit_; }
 
  private:
+  void IndexHeld(LockRequest* req) {  // bk_lock_ held
+    if (2 * held_locks_.size() > held_index_.size()) {
+      held_index_.assign(std::max<size_t>(16, 2 * held_index_.size()),
+                         nullptr);
+      for (LockRequest* held : held_locks_) InsertIndexed(held);
+    } else {
+      InsertIndexed(req);
+    }
+  }
+  void InsertIndexed(LockRequest* req) {
+    const size_t mask = held_index_.size() - 1;
+    size_t i = LockIdHash()(req->lock_id) & mask;
+    while (held_index_[i] != nullptr) i = (i + 1) & mask;
+    held_index_[i] = req;
+  }
+
   const TxnId id_;
   TxnState state_ = TxnState::kActive;
   Lsn last_lsn_ = kInvalidLsn;
@@ -188,7 +206,10 @@ class Transaction {
 
   mutable TatasLock bk_lock_;  // serializes bookkeeping across executors
   std::deque<LockRequest> request_pool_;
-  std::vector<HeldLock> held_locks_;
+  std::vector<LockRequest*> held_locks_;  // acquisition order, for release
+  // Open-addressed index over held_locks_ (linear probing on lock_id, at
+  // most half full, power-of-two size; empty until the first lock).
+  std::vector<LockRequest*> held_index_;
 
   mutable TatasLock waits_lock_;
   std::vector<TxnId> waits_for_;

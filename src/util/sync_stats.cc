@@ -1,6 +1,6 @@
 #include "util/sync_stats.h"
 
-#include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -103,83 +103,82 @@ const char* DurabilityCounterName(DurabilityCounter dc) {
 
 namespace {
 
-// Durability counters now live in the process-wide metrics registry under
-// "durability.<stream>.<counter>"; this table maps streams to the backing
-// obs::Counter pointers so the legacy DurabilityStats API stays a thin
-// view over the registry (one set of numbers, two read surfaces).
-struct DurabilityRegistry {
-  struct CRow {
-    uint32_t stream;
-    std::array<obs::Counter*, kNumDurabilityCounters> counters{};
-  };
+constexpr char kDurabilityPrefix[] = "durability.";
 
-  std::mutex mu;
-  std::vector<CRow> rows;
+std::string DurabilityStreamName(uint32_t stream) {
+  if (stream == kPageStoreStream) return "pages";
+  return "log-" + std::to_string(stream);
+}
 
-  static DurabilityRegistry& Get() {
-    static DurabilityRegistry* r = new DurabilityRegistry();  // leaked
-    return *r;
+// Inverse of DurabilityStreamName + DurabilityCounterName over a registry
+// metric name; false if `name` is not a durability counter.
+bool ParseDurabilityName(const std::string& name, uint32_t* stream,
+                         size_t* counter) {
+  const size_t prefix = sizeof(kDurabilityPrefix) - 1;
+  if (name.compare(0, prefix, kDurabilityPrefix) != 0) return false;
+  const size_t dot = name.find('.', prefix);
+  if (dot == std::string::npos) return false;
+  const std::string stream_name = name.substr(prefix, dot - prefix);
+  if (stream_name == "pages") {
+    *stream = kPageStoreStream;
+  } else if (stream_name.compare(0, 4, "log-") == 0) {
+    *stream = static_cast<uint32_t>(std::stoul(stream_name.substr(4)));
+  } else {
+    return false;
   }
-
-  static std::string StreamName(uint32_t stream) {
-    if (stream == kPageStoreStream) return "pages";
-    return "log-" + std::to_string(stream);
-  }
-
-  CRow& RowFor(uint32_t stream) {  // mu held
-    for (auto& row : rows) {
-      if (row.stream == stream) return row;
+  for (size_t i = 0; i < kNumDurabilityCounters; ++i) {
+    if (name.compare(dot + 1, std::string::npos,
+                     DurabilityCounterName(static_cast<DurabilityCounter>(
+                         i))) == 0) {
+      *counter = i;
+      return true;
     }
-    CRow row{stream, {}};
-    for (size_t i = 0; i < kNumDurabilityCounters; ++i) {
-      const auto dc = static_cast<DurabilityCounter>(i);
-      const std::string name =
-          "durability." + StreamName(stream) + "." + DurabilityCounterName(dc);
-      const char* unit =
-          dc == DurabilityCounter::kBytesFlushed ? "bytes" : "calls";
-      row.counters[i] = obs::MetricsRegistry::Default().GetCounter(name, unit);
-    }
-    rows.push_back(row);
-    return rows.back();
   }
-};
+  return false;
+}
 
 }  // namespace
 
-void DurabilityStats::Count(uint32_t stream, DurabilityCounter dc,
-                            uint64_t n) {
-  DurabilityRegistry& reg = DurabilityRegistry::Get();
-  std::lock_guard<std::mutex> g(reg.mu);
-  reg.RowFor(stream).counters[static_cast<size_t>(dc)]->Add(n);
+DurabilityStats::Stream::Stream(uint32_t stream) {
+  for (size_t i = 0; i < kNumDurabilityCounters; ++i) {
+    const auto dc = static_cast<DurabilityCounter>(i);
+    counters_[i] = obs::MetricsRegistry::Default().GetCounter(
+        kDurabilityPrefix + DurabilityStreamName(stream) + "." +
+            DurabilityCounterName(dc),
+        dc == DurabilityCounter::kBytesFlushed ? "bytes" : "calls");
+  }
+}
+
+void DurabilityStats::Stream::Count(DurabilityCounter dc, uint64_t n) const {
+  counters_[static_cast<size_t>(dc)]->Add(n);
 }
 
 std::vector<DurabilityStats::Row> DurabilityStats::Snapshot() {
-  DurabilityRegistry& reg = DurabilityRegistry::Get();
-  std::lock_guard<std::mutex> g(reg.mu);
-  std::vector<Row> out;
-  out.reserve(reg.rows.size());
-  for (const auto& crow : reg.rows) {
-    Row row{crow.stream, {}};
-    for (size_t i = 0; i < kNumDurabilityCounters; ++i) {
-      row.counts[i] = crow.counters[i]->Value();
+  std::map<uint32_t, Row> rows;  // ordered: kPageStoreStream sorts last
+  for (const obs::MetricValue& m :
+       obs::MetricsRegistry::Default().Snapshot().metrics) {
+    uint32_t stream;
+    size_t counter;
+    if (m.value == 0 || !ParseDurabilityName(m.name, &stream, &counter)) {
+      continue;
     }
-    out.push_back(row);
+    Row& row = rows[stream];
+    row.stream = stream;
+    row.counts[counter] = static_cast<uint64_t>(m.value);
   }
-  std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
-    return a.stream < b.stream;  // kPageStoreStream sorts last
-  });
+  std::vector<Row> out;
+  out.reserve(rows.size());
+  for (const auto& [stream, row] : rows) out.push_back(row);
   return out;
 }
 
 void DurabilityStats::Reset() {
-  DurabilityRegistry& reg = DurabilityRegistry::Get();
-  std::lock_guard<std::mutex> g(reg.mu);
-  // Zero the backing registry counters but forget the rows, so a snapshot
-  // right after Reset is empty (the pre-migration behavior tests rely on).
-  for (auto& crow : reg.rows) {
-    for (auto* c : crow.counters) c->Reset();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  for (const obs::MetricValue& m : registry.Snapshot().metrics) {
+    if (m.name.rfind(kDurabilityPrefix, 0) == 0) {
+      registry.GetCounter(m.name)->Reset();
+    }
   }
-  reg.rows.clear();
 }
 
 std::string DurabilityStats::ToString() {

@@ -28,6 +28,10 @@
 
 namespace doradb {
 
+namespace obs {
+class Counter;
+}  // namespace obs
+
 enum class TimeClass : uint8_t {
   kUnaccounted = 0,      // outside any measured region (driver code, idle)
   kWork,                 // useful transaction work
@@ -146,9 +150,11 @@ const char* DurabilityCounterName(DurabilityCounter dc);
 // their partition index (the central backend is stream 0).
 constexpr uint32_t kPageStoreStream = 0xFFFFFFFFu;
 
-// Global per-stream durability counters. Streams are log partitions plus
-// the page store; counting happens on flush/checkpoint paths (rare next to
-// appends), so one mutex-guarded table is cheap and keeps snapshots exact.
+// Per-stream durability counters. Streams are log partitions plus the page
+// store. The counts live in the process-wide metrics registry as
+// "durability.<log-N|pages>.<counter>", the single store; a stream
+// resolves its registry counters once (DurabilityStats::Stream), so
+// counting on a flush path takes no lock.
 class DurabilityStats {
  public:
   struct Row {
@@ -156,12 +162,25 @@ class DurabilityStats {
     std::array<uint64_t, kNumDurabilityCounters> counts{};
   };
 
-  static void Count(uint32_t stream, DurabilityCounter dc, uint64_t n = 1);
-  // All streams that ever counted, partitions first (ascending), the page
-  // store last.
+  // One stream's counters. Construction registers them (it takes the
+  // registry mutex: do it at startup, not under a log latch); Count is
+  // then one relaxed add. A default-constructed Stream must not count.
+  class Stream {
+   public:
+    Stream() = default;
+    explicit Stream(uint32_t stream);
+    void Count(DurabilityCounter dc, uint64_t n = 1) const;
+
+   private:
+    std::array<obs::Counter*, kNumDurabilityCounters> counters_{};
+  };
+
+  // Every stream with a non-zero count, partitions first (ascending), the
+  // page store last.
   static std::vector<Row> Snapshot();
+  // Zero every stream's counters (a snapshot right after is empty).
   static void Reset();
-  // One line per stream: "plog-0: fsyncs=12 bytes=4096 sealed=1 unlinked=0".
+  // One line per stream: "log-0: fsyncs=12 bytes=4096 sealed=1 unlinked=0".
   static std::string ToString();
 };
 

@@ -10,6 +10,7 @@ namespace tm1 {
 
 namespace {
 constexpr AccessOptions kCc = AccessOptions{true, false};
+constexpr AccessOptions kForUpdate = AccessOptions{true, false, true};
 }
 
 Status Tm1Workload::FinishBaseline(Transaction* txn, Status s) {
@@ -112,7 +113,7 @@ Status Tm1Workload::BaseUpdateSubscriberData(Rng& rng) {
                              ->Probe(Schema::SubKey(s_id), &ie));
     std::string bytes;
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.subscriber, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.subscriber, ie.rid, &bytes, kForUpdate));
     auto sub = FromBytes<SubscriberRow>(bytes);
     sub.bits = static_cast<uint16_t>((sub.bits & ~1u) | bit);
     DORADB_RETURN_NOT_OK(
@@ -126,7 +127,7 @@ Status Tm1Workload::BaseUpdateSubscriberData(Rng& rng) {
                              ->Probe(Schema::SfKey(s_id, sf_type), &sfe));
     std::string sf_bytes;
     DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.special_facility,
-                                   sfe.rid, &sf_bytes, kCc));
+                                   sfe.rid, &sf_bytes, kForUpdate));
     auto sf = FromBytes<SpecialFacilityRow>(sf_bytes);
     sf.data_a = data_a;
     return db_->Update(txn.get(), schema_.special_facility, sfe.rid,
@@ -154,7 +155,7 @@ Status Tm1Workload::BaseUpdateLocation(Rng& rng) {
                              ->Probe(Schema::SubNbrKey(sub_nbr), &ie));
     std::string bytes;
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.subscriber, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.subscriber, ie.rid, &bytes, kForUpdate));
     auto sub = FromBytes<SubscriberRow>(bytes);
     sub.vlr_location = new_vlr;
     DORADB_RETURN_NOT_OK(

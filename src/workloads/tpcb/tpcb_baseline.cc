@@ -5,6 +5,7 @@ namespace tpcb {
 
 namespace {
 constexpr AccessOptions kCc = AccessOptions{true, false};
+constexpr AccessOptions kForUpdate = AccessOptions{true, false, true};
 }
 
 TpcbWorkload::Input TpcbWorkload::MakeInput(Rng& rng) const {
@@ -44,7 +45,7 @@ Status TpcbWorkload::RunBaseline(uint32_t, Rng& rng) {
         cat->Index(schema_.account_pk)->Probe(Schema::Key(in.a_id), &ie));
     std::string bytes;
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.account, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.account, ie.rid, &bytes, kForUpdate));
     auto acc = FromBytes<AccountRow>(bytes);
     acc.balance += in.delta;
     DORADB_RETURN_NOT_OK(
@@ -53,7 +54,7 @@ Status TpcbWorkload::RunBaseline(uint32_t, Rng& rng) {
     DORADB_RETURN_NOT_OK(
         cat->Index(schema_.teller_pk)->Probe(Schema::Key(in.t_id), &ie));
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.teller, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.teller, ie.rid, &bytes, kForUpdate));
     auto tel = FromBytes<TellerRow>(bytes);
     tel.balance += in.delta;
     DORADB_RETURN_NOT_OK(
@@ -62,7 +63,7 @@ Status TpcbWorkload::RunBaseline(uint32_t, Rng& rng) {
     DORADB_RETURN_NOT_OK(
         cat->Index(schema_.branch_pk)->Probe(Schema::Key(in.b_id), &ie));
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.branch, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.branch, ie.rid, &bytes, kForUpdate));
     auto br = FromBytes<BranchRow>(bytes);
     br.balance += in.delta;
     DORADB_RETURN_NOT_OK(

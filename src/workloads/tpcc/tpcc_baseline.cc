@@ -1,6 +1,11 @@
 // Conventional implementations of TPC-C NewOrder, Payment, OrderStatus,
 // plus input generation and shared customer/order resolution helpers.
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include "workloads/common/driver.h"
 #include "workloads/tpcc/tpcc.h"
 
@@ -9,6 +14,8 @@ namespace tpcc {
 
 namespace {
 constexpr AccessOptions kCc = AccessOptions{true, false};
+// Read-then-update sites lock X up front (Shore-Kits' *_forupdate probes).
+constexpr AccessOptions kForUpdate = AccessOptions{true, false, true};
 }
 
 // ------------------------------------------------------------ input makers
@@ -151,7 +158,7 @@ Status TpccWorkload::BasePayment(Rng& rng) {
         cat->Index(schema_.wh_pk)->Probe(Schema::WhKey(in.w_id), &ie));
     std::string bytes;
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.warehouse, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.warehouse, ie.rid, &bytes, kForUpdate));
     auto wh = FromBytes<WarehouseRow>(bytes);
     wh.ytd += in.amount;
     DORADB_RETURN_NOT_OK(
@@ -160,7 +167,7 @@ Status TpccWorkload::BasePayment(Rng& rng) {
     DORADB_RETURN_NOT_OK(cat->Index(schema_.di_pk)
                              ->Probe(Schema::DiKey(in.w_id, in.d_id), &ie));
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.district, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.district, ie.rid, &bytes, kForUpdate));
     auto di = FromBytes<DistrictRow>(bytes);
     di.ytd += in.amount;
     DORADB_RETURN_NOT_OK(
@@ -174,8 +181,8 @@ Status TpccWorkload::BasePayment(Rng& rng) {
     Rid c_rid;
     CustomerRow cu;
     DORADB_RETURN_NOT_OK(ResolveCustomer(txn.get(), in.c_w_id, in.c_d_id,
-                                         in.by_name, in.last, in.c_id, kCc,
-                                         &c_rid, &cu));
+                                         in.by_name, in.last, in.c_id,
+                                         kForUpdate, &c_rid, &cu));
     cu.balance -= in.amount;
     cu.ytd_payment += in.amount;
     cu.payment_cnt++;
@@ -210,23 +217,24 @@ Status TpccWorkload::BaseNewOrder(Rng& rng) {
     std::string bytes;
     DORADB_RETURN_NOT_OK(
         db_->Read(txn.get(), schema_.warehouse, ie.rid, &bytes, kCc));
-    // Customer discount (read-only).
-    DORADB_RETURN_NOT_OK(
-        cat->Index(schema_.cu_pk)
-            ->Probe(Schema::CuKey(in.w_id, in.d_id, in.c_id), &ie));
-    DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.customer, ie.rid, &bytes, kCc));
     // District: allocate the order id.
     DORADB_RETURN_NOT_OK(cat->Index(schema_.di_pk)
                              ->Probe(Schema::DiKey(in.w_id, in.d_id), &ie));
     DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.district, ie.rid, &bytes, kCc));
+        db_->Read(txn.get(), schema_.district, ie.rid, &bytes, kForUpdate));
     auto di = FromBytes<DistrictRow>(bytes);
     const uint32_t o_id = di.next_o_id;
     di.next_o_id++;
     DORADB_RETURN_NOT_OK(
         db_->Update(txn.get(), schema_.district, ie.rid, AsBytes(di), kCc));
-    // Per line: item price (1% invalid aborts), stock update.
+    // Customer discount (read-only), after the district: the Baseline lock
+    // order is warehouse, district, customer (src/lock/README.md).
+    DORADB_RETURN_NOT_OK(
+        cat->Index(schema_.cu_pk)
+            ->Probe(Schema::CuKey(in.w_id, in.d_id, in.c_id), &ie));
+    DORADB_RETURN_NOT_OK(
+        db_->Read(txn.get(), schema_.customer, ie.rid, &bytes, kCc));
+    // Item prices in line order (1% invalid aborts).
     int64_t prices[15];
     for (uint8_t i = 0; i < in.ol_cnt; ++i) {
       IndexEntry it_ie;
@@ -237,13 +245,22 @@ Status TpccWorkload::BaseNewOrder(Rng& rng) {
       DORADB_RETURN_NOT_OK(
           db_->Read(txn.get(), schema_.item, it_ie.rid, &bytes, kCc));
       prices[i] = FromBytes<ItemRow>(bytes).price;
-
+    }
+    // Stock updates in one predefined order, (supply_w_id, i_id), so that
+    // concurrent NewOrders cannot wait on each other's stock in a cycle.
+    std::vector<uint8_t> by_stock(in.ol_cnt);
+    std::iota(by_stock.begin(), by_stock.end(), uint8_t{0});
+    std::sort(by_stock.begin(), by_stock.end(), [&in](uint8_t a, uint8_t b) {
+      return std::make_pair(in.supply_w[a], in.items[a]) <
+             std::make_pair(in.supply_w[b], in.items[b]);
+    });
+    for (const uint8_t i : by_stock) {
       IndexEntry st_ie;
       DORADB_RETURN_NOT_OK(
           cat->Index(schema_.st_pk)
               ->Probe(Schema::StKey(in.supply_w[i], in.items[i]), &st_ie));
       DORADB_RETURN_NOT_OK(
-          db_->Read(txn.get(), schema_.stock, st_ie.rid, &bytes, kCc));
+          db_->Read(txn.get(), schema_.stock, st_ie.rid, &bytes, kForUpdate));
       auto st = FromBytes<StockRow>(bytes);
       st.quantity = st.quantity >= in.qty[i] + 10
                         ? st.quantity - in.qty[i]

@@ -14,6 +14,7 @@ namespace tpcc {
 
 namespace {
 constexpr AccessOptions kCc = AccessOptions{true, false};
+constexpr AccessOptions kForUpdate = AccessOptions{true, false, true};
 constexpr AccessOptions kNoCc = AccessOptions{false, false};
 constexpr AccessOptions kRid = AccessOptions{false, true};
 }  // namespace
@@ -64,13 +65,27 @@ Status TpccWorkload::BaseDelivery(Rng& rng) {
       DORADB_RETURN_NOT_OK(db_->IndexRemove(txn.get(), schema_.no_pk,
                                             Schema::NoKey(w_id, d, o_id),
                                             no_ie.rid, w_id));
-      // Stamp the carrier on the order.
+      // The order's customer is locked before the order, the order every
+      // Baseline transaction follows (OrderStatus reads customer, then
+      // order). Its c_id is read without a lock: the new_order X lock
+      // above excludes the only other writer of this order, and the
+      // NewOrder that inserted it has committed.
       IndexEntry or_ie;
       DORADB_RETURN_NOT_OK(cat->Index(schema_.or_pk)
                                ->Probe(Schema::OrKey(w_id, d, o_id), &or_ie));
       std::string bytes;
       DORADB_RETURN_NOT_OK(
-          db_->Read(txn.get(), schema_.order, or_ie.rid, &bytes, kCc));
+          db_->Read(txn.get(), schema_.order, or_ie.rid, &bytes, kNoCc));
+      const uint32_t c_id = FromBytes<OrderRow>(bytes).c_id;
+      IndexEntry cu_ie;
+      DORADB_RETURN_NOT_OK(cat->Index(schema_.cu_pk)
+                               ->Probe(Schema::CuKey(w_id, d, c_id), &cu_ie));
+      DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.customer, cu_ie.rid,
+                                     &bytes, kForUpdate));
+      auto cu = FromBytes<CustomerRow>(bytes);
+      // Stamp the carrier on the order.
+      DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.order, or_ie.rid,
+                                     &bytes, kForUpdate));
       auto ord = FromBytes<OrderRow>(bytes);
       ord.carrier_id = carrier;
       DORADB_RETURN_NOT_OK(
@@ -86,8 +101,8 @@ Status TpccWorkload::BaseDelivery(Rng& rng) {
                              return true;
                            }));
       for (const auto& e : lines) {
-        DORADB_RETURN_NOT_OK(
-            db_->Read(txn.get(), schema_.order_line, e.rid, &bytes, kCc));
+        DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.order_line, e.rid,
+                                       &bytes, kForUpdate));
         auto line = FromBytes<OrderLineRow>(bytes);
         line.delivery_d = 1;
         total += line.amount;
@@ -95,13 +110,6 @@ Status TpccWorkload::BaseDelivery(Rng& rng) {
                                          e.rid, AsBytes(line), kCc));
       }
       // Credit the customer.
-      IndexEntry cu_ie;
-      DORADB_RETURN_NOT_OK(
-          cat->Index(schema_.cu_pk)
-              ->Probe(Schema::CuKey(w_id, d, ord.c_id), &cu_ie));
-      DORADB_RETURN_NOT_OK(
-          db_->Read(txn.get(), schema_.customer, cu_ie.rid, &bytes, kCc));
-      auto cu = FromBytes<CustomerRow>(bytes);
       cu.balance += total;
       cu.delivery_cnt++;
       DORADB_RETURN_NOT_OK(db_->Update(txn.get(), schema_.customer, cu_ie.rid,

@@ -211,12 +211,20 @@ TEST(CkptTest, BackgroundDaemonRunsConcurrentlyWithWriters) {
   const std::vector<Rid> rids = CommitInserts(&db, table, kRows, "i");
 
   constexpr int kThreads = 4, kPerThread = 120;
+  // Each writer commits at least kPerThread updates and keeps going until
+  // the daemon has finished a checkpoint (up to 20x as many), so the check
+  // below does not race the daemon's first visit against a write phase of
+  // a few milliseconds on a loaded host.
+  constexpr int kMaxPerThread = 20 * kPerThread;
   std::vector<std::thread> writers;
   std::atomic<int> failures{0};
   for (int w = 0; w < kThreads; ++w) {
     writers.emplace_back([&, w] {
       db.log_manager()->BindThisThread(static_cast<uint32_t>(w));
-      for (int i = 0; i < kPerThread; ++i) {
+      for (int i = 0; i < kMaxPerThread; ++i) {
+        if (i >= kPerThread && db.checkpointer()->stats().checkpoints > 0) {
+          break;
+        }
         auto txn = db.Begin();
         const int row = (w * kPerThread + i) % kRows;
         if (!db.Update(txn.get(), table, rids[row],

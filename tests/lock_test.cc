@@ -1,13 +1,16 @@
 // Tests for the centralized hierarchical lock manager: mode lattice,
 // grant/wait/upgrade protocol, FIFO fairness, intention locks, deadlock
-// detection, and multi-threaded stress.
+// detection, the per-transaction lock cache, wake-on-grant waits, update-
+// intent reads, and multi-threaded stress.
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/database.h"
 #include "lock/lock_manager.h"
 #include "txn/transaction.h"
 
@@ -73,6 +76,18 @@ TEST(LockModeTest, IntentionFor) {
 }
 
 // --------------------------------------------------------------- LockManager
+
+// Yield until `cond` holds; false if it still fails after 5 s.
+template <typename Cond>
+bool EventuallyTrue(Cond cond) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 class LockManagerTest : public ::testing::Test {
  protected:
@@ -285,6 +300,112 @@ TEST_F(LockManagerTest, ConversionDeadlockDetected) {
   if (t2->held_count() != 0) Finish(t2.get());
 }
 
+TEST(LockWaitTest, ConversionDeadlockSurfacesAtBlockTime) {
+  // The detector's periodic pass is a second away: only the check a
+  // request makes when it blocks can find this cycle in time.
+  LockManager::Options o;
+  o.detect_interval_us = 1000000;
+  o.wait_timeout_us = 5000000;
+  LockManager lm(o);
+  Transaction t1(1), t2(2);
+  lm.RegisterTxn(&t1);
+  lm.RegisterTxn(&t2);
+  const LockId id = LockId::Row(0, Rid{9, 9});
+  ASSERT_TRUE(lm.Lock(&t1, id, LockMode::kS).ok());
+  ASSERT_TRUE(lm.Lock(&t2, id, LockMode::kS).ok());
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<int> failures{0};
+  std::atomic<int64_t> first_failure_us{-1};
+  auto upgrade = [&](Transaction* t) {
+    if (lm.Lock(t, id, LockMode::kX).ok()) return;
+    int64_t expect = -1;
+    first_failure_us.compare_exchange_strong(
+        expect, std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count());
+    failures++;
+    lm.ReleaseAll(t);
+  };
+  std::thread u1([&] { upgrade(&t1); });
+  std::thread u2([&] { upgrade(&t2); });
+  u1.join();
+  u2.join();
+  EXPECT_GE(failures.load(), 1);
+  EXPECT_GE(lm.deadlocks(), 1u);
+  EXPECT_EQ(lm.timeouts(), 0u);
+  EXPECT_LT(first_failure_us.load(), 100000) << "found by the block-time check";
+  lm.ReleaseAll(&t1);
+  lm.ReleaseAll(&t2);
+  lm.UnregisterTxn(1);
+  lm.UnregisterTxn(2);
+}
+
+TEST(LockWaitTest, BlockedWaiterWokenByRelease) {
+  // Neither the detector pass nor the timeout can end this wait within
+  // the bound: only the grant reaching the parked waiter can.
+  LockManager::Options o;
+  o.detect_interval_us = 2000000;
+  o.wait_timeout_us = 5000000;
+  LockManager lm(o);
+  Transaction t1(1), t2(2);
+  lm.RegisterTxn(&t1);
+  lm.RegisterTxn(&t2);
+  const LockId id = LockId::Row(0, Rid{5, 5});
+  ASSERT_TRUE(lm.Lock(&t1, id, LockMode::kX).ok());
+  std::atomic<int64_t> granted_at_us{-1};
+  const auto start = std::chrono::steady_clock::now();
+  auto since_start_us = [&] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::thread waiter([&] {
+    if (lm.Lock(&t2, id, LockMode::kX).ok()) {
+      granted_at_us.store(since_start_us());
+    }
+  });
+  EXPECT_TRUE(EventuallyTrue([&] { return lm.waits() == 1; }))
+      << "the waiter must block";
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
+  EXPECT_EQ(granted_at_us.load(), -1);
+  const int64_t released_at_us = since_start_us();
+  lm.ReleaseAll(&t1);
+  waiter.join();
+  ASSERT_GE(granted_at_us.load(), 0) << "waiter must be granted";
+  EXPECT_LT(granted_at_us.load() - released_at_us, 20000);
+  EXPECT_EQ(lm.deadlocks(), 0u);
+  EXPECT_EQ(lm.timeouts(), 0u);
+  lm.ReleaseAll(&t2);
+  lm.UnregisterTxn(1);
+  lm.UnregisterTxn(2);
+}
+
+TEST_F(LockManagerTest, HeldLockLookupManyLocks) {
+  constexpr uint32_t kRows = 20000;
+  auto t1 = MakeTxn(1);
+  for (uint32_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(lm_.LockRow(t1.get(), 1, Rid{i, 0}, LockMode::kX).ok());
+  }
+  EXPECT_EQ(t1->held_count(), kRows + 1);  // rows + table IX
+  // Every re-acquire is answered by the lock cache: no new request.
+  const uint64_t acquires = lm_.acquires();
+  for (uint32_t i = 0; i < kRows; ++i) {
+    ASSERT_NE(t1->FindHeld(LockId::Row(1, Rid{i, 0})), nullptr);
+    ASSERT_TRUE(lm_.LockRow(t1.get(), 1, Rid{i, 0}, LockMode::kS).ok());
+    ASSERT_TRUE(lm_.LockRow(t1.get(), 1, Rid{i, 0}, LockMode::kX).ok());
+  }
+  EXPECT_EQ(lm_.acquires(), acquires);
+  EXPECT_EQ(t1->FindHeld(LockId::Row(1, Rid{kRows, 0})), nullptr);
+  EXPECT_EQ(t1->held_count(), kRows + 1);
+  Finish(t1.get());
+  EXPECT_EQ(t1->held_count(), 0u);
+  EXPECT_EQ(t1->FindHeld(LockId::Row(1, Rid{0, 0})), nullptr);
+  for (uint32_t i = 0; i < kRows; ++i) {
+    ASSERT_EQ(lm_.GroupModeOf(LockId::Row(1, Rid{i, 0})), LockMode::kNL);
+  }
+  EXPECT_EQ(lm_.GroupModeOf(LockId::Table(1)), LockMode::kNL);
+}
+
 TEST_F(LockManagerTest, ReleaseAllClearsEverything) {
   auto t1 = MakeTxn(1);
   for (uint32_t i = 0; i < 50; ++i) {
@@ -373,6 +494,67 @@ TEST_F(LockManagerTest, HeadsAreReapedWhenIdle) {
   auto t2 = MakeTxn(2);
   ASSERT_TRUE(lm_.Lock(t2.get(), id, LockMode::kS).ok());
   Finish(t2.get());
+}
+
+// ------------------------------------------------------ update-intent reads
+
+TEST(ForUpdateTest, ForUpdateReadsDoNotConversionDeadlock) {
+  // Two read-then-update transactions on one row. With S reads both would
+  // hold S and deadlock converting to X; for_update reads queue on X.
+  Database::Options opts;
+  opts.buffer_frames = 256;
+  opts.lock.wait_timeout_us = 2000000;
+  Database db(opts);
+  TableId table;
+  ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
+  Rid rid;
+  {
+    auto setup = db.Begin();
+    ASSERT_TRUE(db.Insert(setup.get(), table, "0", &rid,
+                          AccessOptions::Baseline())
+                    .ok());
+    ASSERT_TRUE(db.Commit(setup.get()).ok());
+  }
+  const AccessOptions for_update{true, false, true};
+  const LockManager* lm = db.lock_manager();
+  const uint64_t waits_before = lm->waits();
+  auto increment = [&](Transaction* txn) -> Status {
+    std::string bytes;
+    DORADB_RETURN_NOT_OK(db.Read(txn, table, rid, &bytes, for_update));
+    const std::string next = std::to_string(std::stoi(bytes) + 1);
+    return db.Update(txn, table, rid, next, AccessOptions::Baseline());
+  };
+  auto t1 = db.Begin();
+  std::string bytes;
+  ASSERT_TRUE(db.Read(t1.get(), table, rid, &bytes, for_update).ok());
+  EXPECT_EQ(db.lock_manager()->GroupModeOf(LockId::Row(table, rid)),
+            LockMode::kX);
+  Status s2;
+  std::thread second([&] {
+    auto t2 = db.Begin();
+    s2 = increment(t2.get());
+    if (s2.ok()) {
+      s2 = db.Commit(t2.get());
+    } else {
+      (void)db.Abort(t2.get());
+    }
+  });
+  EXPECT_TRUE(EventuallyTrue([&] { return lm->waits() > waits_before; }))
+      << "the second reader must block on X";
+  const std::string next = std::to_string(std::stoi(bytes) + 1);
+  ASSERT_TRUE(db.Update(t1.get(), table, rid, next, AccessOptions::Baseline())
+                  .ok());
+  ASSERT_TRUE(db.Commit(t1.get()).ok());
+  second.join();
+  EXPECT_TRUE(s2.ok()) << s2.ToString();
+  EXPECT_EQ(lm->deadlocks(), 0u);
+  EXPECT_EQ(lm->timeouts(), 0u);
+  auto check = db.Begin();
+  ASSERT_TRUE(db.Read(check.get(), table, rid, &bytes,
+                      AccessOptions::Baseline())
+                  .ok());
+  EXPECT_EQ(bytes, "2") << "both increments committed";
+  ASSERT_TRUE(db.Commit(check.get()).ok());
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // machinery, and RNG distributions.
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/queue.h"
 #include "util/rng.h"
 #include "util/rwlatch.h"
@@ -307,6 +309,35 @@ TEST(SyncStatsTest, AggregateSeesOtherThreads) {
 }
 
 // --------------------------------------------------------------------- rng
+
+TEST(SyncStatsTest, DurabilityStreamCountsLiveInTheRegistry) {
+  constexpr uint32_t kStream = 77;
+  auto row_for = [](uint32_t stream) -> std::optional<DurabilityStats::Row> {
+    for (const auto& row : DurabilityStats::Snapshot()) {
+      if (row.stream == stream) return row;
+    }
+    return std::nullopt;
+  };
+  const DurabilityStats::Stream stream(kStream);
+  EXPECT_FALSE(row_for(kStream)) << "no row before the first count";
+  stream.Count(DurabilityCounter::kFsyncCalls);
+  stream.Count(DurabilityCounter::kBytesFlushed, 4096);
+  const std::optional<DurabilityStats::Row> row = row_for(kStream);
+  ASSERT_TRUE(row);
+  EXPECT_EQ(row->counts[static_cast<size_t>(DurabilityCounter::kFsyncCalls)],
+            1u);
+  EXPECT_EQ(
+      row->counts[static_cast<size_t>(DurabilityCounter::kBytesFlushed)],
+      4096u);
+  EXPECT_EQ(obs::MetricsRegistry::Default()
+                .GetCounter("durability.log-77.fsyncs")
+                ->Value(),
+            1u);
+  DurabilityStats::Reset();
+  EXPECT_FALSE(row_for(kStream)) << "a snapshot after Reset is empty";
+  stream.Count(DurabilityCounter::kSegmentsSealed);
+  EXPECT_TRUE(row_for(kStream)) << "the stream counts again";
+}
 
 TEST(RngTest, UniformIntRespectsBounds) {
   Rng rng(1);

@@ -197,6 +197,26 @@ TEST_F(TpccTest, MixedConcurrentBaseline) {
   EXPECT_TRUE(workload_->CheckConsistency().ok());
 }
 
+TEST_F(TpccTest, BaselineMixIsDeadlockFree) {
+  // Baseline read-then-update sites lock X up front and every transaction
+  // takes conflicting row locks in one predefined order (see
+  // src/lock/README.md), so no wait closes a cycle.
+  const LockManager* lm = db_.lock_manager();
+  const uint64_t deadlocks_before = lm->deadlocks();
+  const uint64_t timeouts_before = lm->timeouts();
+  BenchConfig cfg;
+  cfg.engine = EngineKind::kBaseline;
+  cfg.num_clients = 4;
+  cfg.duration_ms = 1000;
+  cfg.warmup_ms = 50;
+  const BenchResult r = RunBench(workload_.get(), cfg);
+  EXPECT_GT(r.committed, 20u);
+  EXPECT_EQ(r.system_aborts, 0u) << "no Deadlock or Timeout outcome";
+  EXPECT_EQ(lm->deadlocks() - deadlocks_before, 0u);
+  EXPECT_EQ(lm->timeouts() - timeouts_before, 0u);
+  EXPECT_TRUE(workload_->CheckConsistency().ok());
+}
+
 TEST_F(TpccTest, MixedConcurrentDora) {
   BenchConfig cfg;
   cfg.engine = EngineKind::kDora;
