@@ -12,8 +12,6 @@
 //   DORADB_EXECUTORS      DORA executors per table   (default 1; rigs that
 //                         take an explicit executor count ignore this)
 //   DORADB_PIN            1 = pin executors to cores by partition index
-//   DORADB_BASE_WORKERS   >0: baseline runs through a shared request queue
-//                         drained in batches by this many workers
 //   DORADB_PIPELINED      1 = pipelined commit / early lock release
 //                         (default 0)
 //
@@ -31,8 +29,9 @@
 //                         migration (default 0.25)
 //   DORADB_REBALANCE_MS   controller cadence in ms (default 50)
 //
-// WAL knobs (both backends benchable without recompiling):
-//   DORADB_LOG_BACKEND    "central" (default) or "plog"
+// WAL knobs (both configurations benchable without recompiling):
+//   DORADB_LOG_BACKEND    "central" (default: one partition every thread
+//                         shares) or "plog"
 //   DORADB_LOG_PARTITIONS plog partition count       (default 4)
 //   DORADB_LOG_FLUSH_US   group-commit window in us  (default 50)
 //   DORADB_LOG_SYNC       1 = flush inline on every append (default 0)
@@ -109,11 +108,11 @@ inline bool RebalanceFromEnv() { return EnvU64("DORADB_REBALANCE", 0) != 0; }
 
 inline uint64_t BenchMs() { return EnvU64("DORADB_BENCH_MS", 700); }
 
-// Log options from driver flags (satellite of the plog PR): flush cadence,
-// synchronous mode, and backend selection are runtime-settable so the same
-// binary can A/B the central and partitioned WAL.
-inline LogManager::Options LogOptionsFromEnv() {
-  LogManager::Options o;
+// Log options from driver flags: flush cadence, synchronous mode, and the
+// partition count (LogBackendFromEnv) are runtime-settable so the same
+// binary can A/B the central (one shared partition) and partitioned WAL.
+inline plog::LogOptions LogOptionsFromEnv() {
+  plog::LogOptions o;
   o.flush_interval_us = EnvU64("DORADB_LOG_FLUSH_US", o.flush_interval_us);
   o.synchronous = EnvU64("DORADB_LOG_SYNC", 0) != 0;
   return o;
@@ -331,8 +330,6 @@ inline BenchConfig MakeConfig(EngineKind kind, dora::DoraEngine* engine,
   cfg.duration_ms = BenchMs();
   cfg.warmup_ms = BenchMs() / 4;
   cfg.txn_type = txn_type;
-  cfg.baseline_workers =
-      static_cast<uint32_t>(EnvU64("DORADB_BASE_WORKERS", 0));
   return cfg;
 }
 

@@ -87,7 +87,8 @@ int main() {
       "largest on TM1. On few-core hosts the Baseline may out-peak DORA at\n"
       "low load (no contention to remove); the paper-consistent signal is\n"
       "that DORA peaks at/beyond 100%% offered load while the Baseline must\n"
-      "be throttled to its uncontended region (see EXPERIMENTS.md).\n");
+      "be throttled to its uncontended region (run-to-run spread:\n"
+      "perfbench/README.md, \"Measured spread\").\n");
   BenchJson::Default().Emit("fig8_peak_throughput");
   return 0;
 }

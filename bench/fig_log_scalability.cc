@@ -1,7 +1,8 @@
-// Log scalability (the §5.4 experiment this repo's plog PR targets):
-// TPC-B — the write-heaviest workload — run against the DORA engine with
-// the central WAL versus the partitioned WAL (plog + pipelined commit +
-// early lock release), sweeping the executor count.
+// Log scalability (the paper's §5.4 experiment): TPC-B — the
+// write-heaviest workload — run against the DORA engine with the central
+// WAL (one log partition every executor shares) versus the partitioned
+// WAL (one partition per executor + pipelined commit + early lock
+// release), sweeping the executor count.
 //
 // The paper observes that once DORA removes lock-manager contention, the
 // single latched log buffer "becomes the new bottleneck"; with one log
@@ -34,8 +35,8 @@ Point RunPoint(LogBackendKind backend, uint32_t account_executors) {
   DurabilityStats::Reset();
   Database::Options db_opts = DbOptions();
   db_opts.log_backend = backend;
-  // One partition per executor: accounts get `account_executors`, the
-  // other three tables one each.
+  // One partition per executor under kPartitioned (kCentral ignores it):
+  // accounts get `account_executors`, the other three tables one each.
   const uint32_t total_executors = account_executors + 3;
   db_opts.log_partitions = total_executors;
 
@@ -110,7 +111,7 @@ void RunSweep(const char* name, LogBackendKind backend) {
 int main() {
   PrintHeader("Log scalability",
               "TPC-B writes: central WAL vs partitioned WAL (plog)");
-  RunSweep("central log (one latched buffer, blocking commit)",
+  RunSweep("central log (one shared partition latch, blocking commit)",
            LogBackendKind::kCentral);
   RunSweep("partitioned log (plog, pipelined commit + ELR)",
            LogBackendKind::kPartitioned);

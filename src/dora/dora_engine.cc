@@ -99,10 +99,10 @@ void DoraEngine::Start() {
   }
   if (options_.pipelined_commit) {
     // One commit-ack queue per log partition, sharded over at most
-    // core-count daemons; with the central backend this degenerates to a
-    // single group-commit daemon. Shards must be fully built before any
-    // executor runs: a transaction can finish (and consult ack_shards_)
-    // as soon as the first executor is live.
+    // core-count daemons; with the one-partition central log this
+    // degenerates to a single group-commit daemon. Shards must be fully
+    // built before any executor runs: a transaction can finish (and
+    // consult ack_shards_) as soon as the first executor is live.
     const uint32_t n = db_->log_manager()->num_partitions();
     const uint32_t shards = std::min(n, std::max(1u, HardwareContexts()));
     for (uint32_t s = 0; s < shards; ++s) {

@@ -3,25 +3,20 @@
 #include "obs/health.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
-#include "plog/partitioned_log_manager.h"
 #include "util/clock.h"
 
 namespace doradb {
 
 namespace {
 std::unique_ptr<LogBackend> MakeLogBackend(const Database::Options& options) {
-  if (options.log_backend == LogBackendKind::kPartitioned) {
-    plog::PartitionedLogManager::Options po;
-    po.num_partitions = options.log_partitions;
-    po.log = options.log;
-    po.data_dir = options.data_dir;
-    po.segment_target_bytes = options.log_segment_bytes;
-    return std::make_unique<plog::PartitionedLogManager>(po);
-  }
-  LogManager::Options lo = options.log;
-  lo.data_dir = options.data_dir;
-  lo.segment_target_bytes = options.log_segment_bytes;
-  return std::make_unique<LogManager>(lo);
+  LogBackend::Options po;
+  po.num_partitions = options.log_backend == LogBackendKind::kPartitioned
+                          ? options.log_partitions
+                          : 1;
+  po.log = options.log;
+  po.data_dir = options.data_dir;
+  po.segment_target_bytes = options.log_segment_bytes;
+  return std::make_unique<LogBackend>(po);
 }
 }  // namespace
 
@@ -253,9 +248,8 @@ Database::~Database() {
   // before either can die. Members then destroy in reverse declaration
   // order, which tears the log down before the pool — so flush dirty pages
   // while the log is still alive (WAL rule intact), then detach the
-  // callback for the pool's own destructor. The seed hid this as a
-  // use-after-free that virtual dispatch on LogBackend turned into a
-  // crash.
+  // callback for the pool's own destructor, which would otherwise call
+  // into the destroyed log.
   ckpt_->Stop();
   (void)pool_->FlushAll();
   (void)disk_->Sync();  // clean shutdown: flushed pages reach the medium

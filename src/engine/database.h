@@ -25,7 +25,6 @@
 #include "ckpt/checkpoint_coordinator.h"
 #include "lock/lock_manager.h"
 #include "log/log_backend.h"
-#include "log/log_manager.h"
 #include "obs/metrics.h"
 #include "obs/obs_server.h"
 #include "obs/reporter.h"
@@ -57,10 +56,11 @@ struct AccessOptions {
   static AccessOptions RidOnly() { return AccessOptions{false, true}; }
 };
 
-// Which WAL implementation backs the engine (runtime-selectable).
+// How many partitions the WAL has (runtime-selectable).
 enum class LogBackendKind : uint8_t {
-  kCentral = 0,      // one latched buffer (the paper's §5.4 bottleneck)
-  kPartitioned = 1,  // plog: one partition per executor, GSN-stamped
+  kCentral = 0,      // one partition every thread shares (the paper's §5.4
+                     // bottleneck): log_partitions = 1
+  kPartitioned = 1,  // log_partitions partitions, one per executor
 };
 
 class Database {
@@ -68,7 +68,7 @@ class Database {
   struct Options {
     size_t buffer_frames = 8192;  // 64 MiB
     LockManager::Options lock;
-    LogManager::Options log;
+    plog::LogOptions log;
     LogBackendKind log_backend = LogBackendKind::kCentral;
     // Partition count for LogBackendKind::kPartitioned; size it to the
     // executor count so each executor appends to a private partition.
@@ -82,7 +82,7 @@ class Database {
     // becomes `<data_dir>/pages.db`, and the schema lives in
     // `<data_dir>/catalog.db` (storage/catalog_store.h), written through
     // on every DDL. Constructing a Database over a directory a previous
-    // lifetime wrote is the reopen path: the log backends adopt the
+    // lifetime wrote is the reopen path: the log partitions adopt the
     // existing segments (cold start), the catalog is rebuilt from
     // catalog.db — tables, indexes, key schemas, DORA routing config —
     // and Recover() rebuilds committed state from disk alone, with no

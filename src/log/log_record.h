@@ -31,7 +31,7 @@ enum class LogType : uint8_t {
 };
 
 // ckpt_partition value for a checkpoint record covering every partition
-// (the legacy global Checkpoint() path and the central backend).
+// (the global Checkpoint() path).
 constexpr uint32_t kCheckpointAllPartitions = 0xFFFFFFFFu;
 
 struct LogRecord {
@@ -82,8 +82,8 @@ size_t DecodeRecordStream(const std::vector<uint8_t>& data,
 
 // Drop the byte prefix of an LSN-ordered serialized record stream holding
 // every whole record with lsn < point (survivors are a byte suffix).
-// Returns the number of bytes removed. Shared by both WAL backends'
-// checkpoint truncation; callers hold their own stable-region lock.
+// Returns the number of bytes removed. The in-memory medium's checkpoint
+// truncation; callers hold their own stable-region lock.
 size_t ReclaimLogPrefixBelow(std::vector<uint8_t>* stable, Lsn point);
 
 }  // namespace doradb

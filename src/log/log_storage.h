@@ -1,11 +1,10 @@
 // LogStorage: the durability medium under a WAL stable region.
 //
-// Both WAL backends (the central LogManager and each plog LogPartition)
-// keep a volatile append buffer and a "stable" stream of whole records.
-// This interface is the stable stream's medium: an in-memory byte vector
-// (the seed behaviour — Database::Options::data_dir empty) or a directory
-// of segment files (src/log/segment_file.h) whose appends survive process
-// death.
+// Each WAL partition (plog::LogPartition) keeps a volatile append buffer
+// and a "stable" stream of whole records. This interface is the stable
+// stream's medium: an in-memory byte vector (the seed behaviour —
+// Database::Options::data_dir empty) or a directory of segment files
+// (src/log/segment_file.h) whose appends survive process death.
 //
 // Contract shared by both implementations:
 //  * AppendBatch bytes are whole records in LSN order; a batch never needs
@@ -23,7 +22,7 @@
 //    implementation drops whole sealed segments only. Survivors below a
 //    checkpoint horizon are redo-skipped by recovery, never harmful.
 //
-// Thread safety: none, with one exception. The owning backend serializes
+// Thread safety: none, with one exception. The owning partition serializes
 // every call under its stable-region mutex, except RemoveDetached, which
 // it calls after releasing the mutex (see ReclaimBelow).
 
@@ -31,8 +30,6 @@
 #define DORADB_LOG_LOG_STORAGE_H_
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -77,11 +74,9 @@ class LogStorage {
   // The claim persisted by the last Sync of a previous lifetime (0 when
   // the medium is fresh or volatile).
   virtual Lsn recovered_watermark() const { return 0; }
-  // Cold-start scan results, so callers need not re-Decode the stream:
-  // the last decodable record's LSN, and the stream end (that LSN plus
-  // the record's encoded size — the central backend's resume offset).
+  // Cold-start scan result, so callers need not re-Decode the stream:
+  // the last decodable record's LSN.
   virtual Lsn recovered_last_lsn() const { return 0; }
-  virtual Lsn recovered_stream_end() const { return 0; }
   // Highest page id any recovered record references (kInvalidPageId when
   // none): a reopened Database raises the page allocator past it BEFORE
   // application code can allocate, or a pre-recovery allocation (e.g. an
@@ -101,7 +96,6 @@ class LogStorage {
   //     files and makes the deletion durable. It reads no mutable state
   //     of the stream, so appends and flushes may run alongside it. A
   //     non-OK result must be recorded through Poison under the mutex.
-  // ReclaimStable (below) runs both phases for an owner.
   struct Reclaimed {
     uint64_t bytes = 0;               // record bytes dropped
     std::vector<std::string> files;   // detached files, for RemoveDetached
@@ -122,28 +116,6 @@ class LogStorage {
   virtual void TearTail(size_t bytes) = 0;
   virtual void FlipByte(size_t index) = 0;
 };
-
-// Checkpoint truncation for an owner that serializes `stable` under `mu`
-// and mirrors its poison latch in `poisoned`: ReclaimBelow under the
-// mutex, RemoveDetached after releasing it, a failure recorded back under
-// it. Returns the record bytes dropped.
-inline uint64_t ReclaimStable(LogStorage* stable, std::mutex* mu,
-                              std::atomic<bool>* poisoned, Lsn point) {
-  LogStorage::Reclaimed r;
-  {
-    std::lock_guard<std::mutex> g(*mu);
-    r = stable->ReclaimBelow(point);
-    // Sealing the active segment can fail: the medium poisoned itself.
-    if (stable->poisoned()) poisoned->store(true, std::memory_order_release);
-  }
-  Status s = stable->RemoveDetached(r.files);
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> g(*mu);
-    (void)stable->Poison(std::move(s));
-    poisoned->store(true, std::memory_order_release);
-  }
-  return r.bytes;
-}
 
 // The seed medium: one in-memory byte vector. Dies with the process.
 class MemoryLogStorage final : public LogStorage {

@@ -203,8 +203,6 @@ void SegmentFileStorage::OpenDir() {
   // kSegmentsUnlinked — that counter reports checkpoint-truncation
   // deletions, and mixing recovery drops in would fake reclamation.
   bool stream_broken = false;
-  LogRecord last_rec;
-  bool have_last = false;
   auto quarantine = [this](const std::string& path, const char* why) {
     const std::string aside = path + ".quarantine";
     std::fprintf(stderr,
@@ -277,10 +275,7 @@ void SegmentFileStorage::OpenDir() {
     }
     seg.data_bytes = clean;
     seg.max_lsn = recs.empty() ? 0 : recs.back().lsn;
-    if (!recs.empty()) {
-      last_rec = recs.back();
-      have_last = true;
-    }
+    if (!recs.empty()) recovered_last_lsn_ = recs.back().lsn;
     for (const LogRecord& rec : recs) {
       if (rec.rid.page_id == kInvalidPageId) continue;  // no page reference
       if (recovered_max_page_id_ == kInvalidPageId ||
@@ -295,11 +290,6 @@ void SegmentFileStorage::OpenDir() {
       recovered_watermark_ = std::max(recovered_watermark_, header_watermark);
     }
     segments_.push_back(seg);
-  }
-  if (have_last) {
-    recovered_last_lsn_ = last_rec.lsn;
-    std::vector<uint8_t> tmp;
-    recovered_stream_end_ = last_rec.lsn + last_rec.SerializeTo(&tmp);
   }
   if (!segments_.empty()) {
     next_seq_ = segments_.back().seq + 1;

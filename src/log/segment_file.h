@@ -1,7 +1,7 @@
 // SegmentFileStorage: a WAL stable region as a directory of segment files.
 //
-// Layout (one directory per log stream — "plog-<i>" per partition,
-// "central" for the single-stream backend, under Database data_dir):
+// Layout (one directory per log stream — "plog-<i>" per partition, under
+// Database data_dir):
 //
 //   seg-00000001.log
 //   seg-00000002.log      <- sealed (full): never written again
@@ -70,7 +70,6 @@ class SegmentFileStorage final : public LogStorage {
   Status Poison(Status s) override;
   Lsn recovered_watermark() const override { return recovered_watermark_; }
   Lsn recovered_last_lsn() const override { return recovered_last_lsn_; }
-  Lsn recovered_stream_end() const override { return recovered_stream_end_; }
   PageId recovered_max_page_id() const override {
     return recovered_max_page_id_;
   }
@@ -122,8 +121,7 @@ class SegmentFileStorage final : public LogStorage {
   Status io_status_;       // the failure that poisoned the stream
   Lsn durable_watermark_ = 0;  // last claim written to the active header
   Lsn recovered_watermark_ = 0;
-  Lsn recovered_last_lsn_ = 0;    // last decodable LSN found by the scan
-  Lsn recovered_stream_end_ = 0;  // its end (LSN + encoded size)
+  Lsn recovered_last_lsn_ = 0;  // last decodable LSN found by the scan
   PageId recovered_max_page_id_ = kInvalidPageId;
   uint64_t next_seq_ = 1;
 };

@@ -9,8 +9,8 @@
 // Aether line).
 //
 // The fetch_add is the only cross-partition synchronization on the append
-// path — one uncontended cache line versus the central log's latch held
-// across the full record memcpy.
+// path — one uncontended cache line versus a shared partition latch held
+// across the full record memcpy (the one-partition central log).
 
 #ifndef DORADB_PLOG_GSN_CLOCK_H_
 #define DORADB_PLOG_GSN_CLOCK_H_

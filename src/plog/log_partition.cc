@@ -160,9 +160,20 @@ std::vector<LogRecord> LogPartition::ReadStable(Status* tail) const {
 void LogPartition::ReclaimStableBelow(Lsn point) {
   // Unlinks and the directory fsync run unlocked: every commit ack waits
   // on stable_mu_ through the min-over-partitions flush horizon.
-  reclaimed_.fetch_add(
-      ReclaimStable(stable_.get(), &stable_mu_, &poisoned_, point),
-      std::memory_order_relaxed);
+  LogStorage::Reclaimed r;
+  {
+    std::lock_guard<std::mutex> g(stable_mu_);
+    r = stable_->ReclaimBelow(point);
+    // Sealing the active segment can fail: the medium poisoned itself.
+    if (stable_->poisoned()) poisoned_.store(true, std::memory_order_release);
+  }
+  Status s = stable_->RemoveDetached(r.files);
+  if (!s.ok()) {
+    std::lock_guard<std::mutex> g(stable_mu_);
+    (void)stable_->Poison(std::move(s));
+    poisoned_.store(true, std::memory_order_release);
+  }
+  reclaimed_.fetch_add(r.bytes, std::memory_order_relaxed);
 }
 
 void LogPartition::FlipStableByte(size_t index) {

@@ -115,6 +115,9 @@ void PartitionedLogManager::BindThisThread(uint32_t hint) {
 }
 
 uint32_t PartitionedLogManager::LocalIndex() const {
+  // The centralized configuration: skip the thread-local binding scan on
+  // every append.
+  if (partitions_.size() == 1) return 0;
   if (uint32_t* bound = FindBinding(instance_id_)) return *bound;
   const uint32_t index =
       next_unbound_.fetch_add(1, std::memory_order_relaxed) %

@@ -1,11 +1,15 @@
-// PartitionedLogManager: the plog facade — one LogPartition per DORA
-// executor behind the LogBackend surface, so TxnManager, BufferPool, and
-// Recovery run unchanged against either backend.
+// PartitionedLogManager: the engine's write-ahead log — N LogPartitions
+// behind one append/wait/read surface (log/log_backend.h names it
+// LogBackend), so TxnManager, BufferPool, and Recovery see a single
+// GSN-ordered log however many partitions back it.
 //
 // Append path: a thread appends to its bound partition (DORA executors
 // bind 1:1 via BindThisThread; unbound threads get a sticky round-robin
 // partition on first use). The only shared write is the GsnClock
 // fetch_add — the §5.4 log-buffer latch convoy is gone by construction.
+// With num_partitions = 1 every thread appends through that one
+// partition's latch: the centralized log the paper's §5.4 measures
+// (Database's LogBackendKind::kCentral).
 //
 // Durability: flushed_lsn() is the *global* stable horizon
 //     H = min over partitions p of watermark(p),
@@ -24,34 +28,45 @@
 //     H' = min over p of max(watermark(p), last decodable GSN of p),
 // drops records above H', and merges the rest by GSN. The result is a
 // single totally-ordered stream containing *all* records with GSN <= H' —
-// exactly the committed prefix the central log would expose — so
-// RecoveryDriver runs unmodified. A crash (DiscardVolatileTail) also
-// truncates every stable tail to H', as a restart would, so repeated
-// crash/recover cycles replay the same prefix.
+// the committed prefix — so RecoveryDriver sees one log. A crash
+// (DiscardVolatileTail) also truncates every stable tail to H', as a
+// restart would, so repeated crash/recover cycles replay the same prefix.
 
 #ifndef DORADB_PLOG_PARTITIONED_LOG_MANAGER_H_
 #define DORADB_PLOG_PARTITIONED_LOG_MANAGER_H_
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "log/log_backend.h"
-#include "log/log_manager.h"
+#include "log/log_record.h"
 #include "plog/gsn_clock.h"
 #include "plog/log_partition.h"
+#include "util/status.h"
 
 namespace doradb {
 namespace plog {
 
-class PartitionedLogManager final : public LogBackend {
+// Flush policy, set through Database::Options::log.
+struct LogOptions {
+  uint64_t flush_interval_us = 50;  // group-commit window
+  bool synchronous = false;         // flush inline on every append (tests)
+  // File-backed log only: an idle partition whose periodic flush would
+  // persist nothing but a watermark-header advance may skip the fdatasync
+  // up to this many consecutive ticks (then a heartbeat sync bounds the
+  // persisted claim's lag). Waiters (commit acks, explicit WaitFlushed)
+  // always force the sync, so durability acknowledgements never observe
+  // the skip.
+  uint32_t idle_sync_skip_ticks = 64;
+};
+
+class PartitionedLogManager {
  public:
   struct Options {
     uint32_t num_partitions = 4;
-    // Flush cadence / synchronous mode, shared with the central backend so
-    // benchmarks can A/B them under identical settings.
-    LogManager::Options log;
+    LogOptions log;
     // Non-empty: back each partition's stable stream with segment files
     // under `<data_dir>/plog-<i>` (see log/segment_file.h). Existing
     // segments are adopted at construction — the cold-start path — and the
@@ -61,39 +76,80 @@ class PartitionedLogManager final : public LogBackend {
   };
 
   explicit PartitionedLogManager(Options options);
-  ~PartitionedLogManager() override;
+  ~PartitionedLogManager();
   PartitionedLogManager(const PartitionedLogManager&) = delete;
   PartitionedLogManager& operator=(const PartitionedLogManager&) = delete;
 
-  Lsn Append(LogRecord* rec) override;
-  Status WaitFlushed(Lsn lsn) override;
-  Status FlushTo(Lsn lsn) override { return WaitFlushed(lsn); }
-  Status WaitFlushedFrom(uint32_t partition_hint, Lsn lsn) override;
+  // Append a record to this thread's partition; stamps rec->lsn with a
+  // fresh GSN and returns it. The record is durable once flushed_lsn()
+  // covers that GSN.
+  Lsn Append(LogRecord* rec);
 
-  Lsn flushed_lsn() const override;
-  Lsn current_lsn() const override { return clock_.last_issued(); }
+  // Block until everything up to `lsn` is stable (group commit wait).
+  // Returns Unavailable when a partition's stable medium is poisoned (a
+  // failed durability point — see LogStorage::poisoned()) and the horizon
+  // can never reach `lsn`: the record may or may not be on the platter,
+  // but it must NOT be acknowledged as durable.
+  Status WaitFlushed(Lsn lsn);
+  // Trigger + wait: used by the buffer pool's WAL rule before page steals.
+  Status FlushTo(Lsn lsn) { return WaitFlushed(lsn); }
+  // Commit-pipelining wait: like WaitFlushed, but the caller vouches that
+  // `lsn` lives in `partition_hint`, so only that partition is flushed
+  // eagerly and the others' flushers advance the horizon on their own
+  // cadence — avoiding an all-partition flush storm per commit.
+  Status WaitFlushedFrom(uint32_t partition_hint, Lsn lsn);
 
-  void DiscardVolatileTail() override;
-  void SimulateKill() override;
-  std::vector<LogRecord> ReadStable() const override;
+  Lsn flushed_lsn() const;
+  Lsn current_lsn() const { return clock_.last_issued(); }
 
-  void ReclaimStableBelow(Lsn point) override;
-  void ReclaimPartitionBelow(uint32_t partition, Lsn point) override;
-  uint64_t reclaimed_bytes() const override;
+  // Crash simulation: drop every partition's unflushed bytes and truncate
+  // the stable streams to the consistent recovery horizon.
+  void DiscardVolatileTail();
+  // Kill simulation: like a crash, but without the restart-style stable
+  // truncation — the stable media are left exactly as the dead process
+  // would leave them (torn tails and all), for tests that reopen a
+  // file-backed log in a second lifetime.
+  void SimulateKill();
+  // Recovery: the merged, GSN-ordered committed prefix (see above).
+  std::vector<LogRecord> ReadStable() const;
 
-  uint64_t appends() const override;
-  uint64_t flushes() const override;
-  uint64_t idle_syncs_skipped() const override;
-  size_t stable_size() const override;
-  size_t PartitionStableSize(uint32_t partition) const override {
+  // Checkpoint-driven truncation: drop stable records with GSN strictly
+  // below `point` — the caller (src/ckpt/) vouches that everything below
+  // is reflected in the disk image and belongs to no transaction that
+  // could still need undo. Whole records only; the streams stay decodable.
+  void ReclaimStableBelow(Lsn point);
+  // Partition-scoped variant: the checkpoint coordinator advances
+  // truncation points per partition.
+  void ReclaimPartitionBelow(uint32_t partition, Lsn point);
+  // Total bytes dropped by reclamation over this log's life.
+  uint64_t reclaimed_bytes() const;
+
+  uint64_t appends() const;
+  uint64_t flushes() const;
+  // Watermark-only header fdatasyncs elided on idle periodic flushes
+  // (see LogOptions::idle_sync_skip_ticks).
+  uint64_t idle_syncs_skipped() const;
+  size_t stable_size() const;
+  // One partition's stable bytes — the checkpoint coordinator visits a
+  // partition once this value has grown by one segment.
+  size_t PartitionStableSize(uint32_t partition) const {
     return partitions_[partition % partitions_.size()]->stable_size();
   }
-  size_t segment_files() const override;
-  PageId recovered_max_page_id() const override;
+  // Segment files currently backing the stable streams (0 when in-memory).
+  size_t segment_files() const;
+  // Highest page id referenced by any record recovered at cold start
+  // (kInvalidPageId when none / in-memory). A reopened Database raises
+  // the page allocator past it before application code (eager index
+  // roots) can allocate, or redo would clobber the reused page.
+  PageId recovered_max_page_id() const;
 
-  void BindThisThread(uint32_t hint) override;
-  uint32_t CurrentPartition() const override;
-  uint32_t num_partitions() const override {
+  // Partition-affinity hint: a DORA executor calls this once with its
+  // global index so its appends go to partition `hint % num_partitions()`.
+  void BindThisThread(uint32_t hint);
+  // The partition this thread's appends go to; DORA routes commit acks to
+  // the matching per-partition queue.
+  uint32_t CurrentPartition() const;
+  uint32_t num_partitions() const {
     return static_cast<uint32_t>(partitions_.size());
   }
 

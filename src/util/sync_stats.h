@@ -147,7 +147,7 @@ constexpr size_t kNumDurabilityCounters =
 const char* DurabilityCounterName(DurabilityCounter dc);
 
 // Stream id used by the file-backed page store (pages.db); log streams use
-// their partition index (the central backend is stream 0).
+// their partition index (the one-partition central log is stream 0).
 constexpr uint32_t kPageStoreStream = 0xFFFFFFFFu;
 
 // Per-stream durability counters. Streams are log partitions plus the page

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/clock.h"
-#include "util/queue.h"
 #include "util/thread_pool.h"
 
 namespace doradb {
@@ -39,19 +38,6 @@ std::string BenchResult::Summary() const {
   return buf;
 }
 
-namespace {
-
-// One queued-baseline request: the submitting client's RNG runs the
-// transaction on the worker (the client is blocked on `done` meanwhile, so
-// the RNG is never used concurrently).
-struct BaselineRequest {
-  uint32_t type = 0;
-  Rng* rng = nullptr;
-  BlockingQueue<Status>* done = nullptr;
-};
-
-}  // namespace
-
 BenchResult RunBench(Workload* workload, const BenchConfig& config) {
   BenchResult result;
   result.offered_load_pct =
@@ -64,30 +50,6 @@ BenchResult RunBench(Workload* workload, const BenchConfig& config) {
 
   StatsSnapshot measure_start;
   std::mutex snap_mu;  // protects measure_start assignment
-
-  // Queued-baseline plumbing (BenchConfig::baseline_workers): one shared
-  // request queue, bulk-drained by the worker pool, plus one completion
-  // channel per client.
-  const bool queued_baseline = config.engine == EngineKind::kBaseline &&
-                               config.baseline_workers > 0;
-  BlockingQueue<BaselineRequest> requests;
-  std::vector<std::unique_ptr<BlockingQueue<Status>>> done_channels;
-  ThreadGroup workers;
-  if (queued_baseline) {
-    for (uint32_t i = 0; i < config.num_clients; ++i) {
-      done_channels.push_back(std::make_unique<BlockingQueue<Status>>());
-    }
-    workers.Spawn(config.baseline_workers, [&](size_t) {
-      for (;;) {
-        // PopAll: one lock round-trip per backlog, not per request.
-        std::deque<BaselineRequest> batch = requests.PopAll();
-        if (batch.empty()) return;  // closed and drained
-        for (auto& r : batch) {
-          r.done->Push(workload->RunBaseline(r.type, *r.rng));
-        }
-      }
-    });
-  }
 
   ThreadGroup clients;
   clients.Spawn(config.num_clients, [&](size_t id) {
@@ -104,19 +66,9 @@ BenchResult RunBench(Workload* workload, const BenchConfig& config) {
                                 ? static_cast<uint32_t>(config.txn_type)
                                 : workload->PickTxnType(rng);
       const auto t0 = Clock::now();
-      Status s;
-      if (config.engine == EngineKind::kBaseline) {
-        if (queued_baseline) {
-          requests.Push(BaselineRequest{type, &rng, done_channels[id].get()});
-          // Exactly one completion is ever outstanding per client; the
-          // bulk drain returns it.
-          s = done_channels[id]->PopAll().front();
-        } else {
-          s = workload->RunBaseline(type, rng);
-        }
-      } else {
-        s = workload->RunDora(config.dora_engine, type, rng);
-      }
+      const Status s = config.engine == EngineKind::kBaseline
+                           ? workload->RunBaseline(type, rng)
+                           : workload->RunDora(config.dora_engine, type, rng);
       const auto t1 = Clock::now();
       if (counted_from_warmup) {
         latency.Record(static_cast<uint64_t>(
@@ -144,10 +96,6 @@ BenchResult RunBench(Workload* workload, const BenchConfig& config) {
   std::this_thread::sleep_for(std::chrono::milliseconds(config.duration_ms));
   stop.store(true, std::memory_order_release);
   clients.Join();
-  if (queued_baseline) {
-    requests.Close();  // workers drain the backlog, then exit
-    workers.Join();
-  }
   const auto measure_t1 = Clock::now();
 
   const StatsSnapshot measure_end = ThreadStats::AggregateSnapshot();

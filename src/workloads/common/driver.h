@@ -29,14 +29,6 @@ struct BenchConfig {
   uint64_t seed = 42;
   // DORA engine to drive (required for kDora).
   dora::DoraEngine* dora_engine = nullptr;
-  // Baseline dispatch mode. 0 (default): each client runs its transaction
-  // inline — the classic closed loop. >0: clients submit requests to one
-  // shared BlockingQueue drained in batches (PopAll) by this many worker
-  // threads — the paper's thread-to-transaction shape with an explicit
-  // request queue — and completions return on per-client channels. Both
-  // queue ends use bulk drains, so the baseline pays one lock round-trip
-  // per batch, not per item.
-  uint32_t baseline_workers = 0;
 };
 
 struct BenchResult {

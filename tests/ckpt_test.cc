@@ -17,7 +17,6 @@
 
 #include "dora/dora_engine.h"
 #include "engine/database.h"
-#include "log/log_manager.h"
 #include "log/recovery.h"
 #include "plog/partitioned_log_manager.h"
 #include "util/rng.h"
@@ -33,10 +32,6 @@ Database::Options PlogDb(uint32_t parts = 4, uint64_t interval_us = 20) {
   o.log.flush_interval_us = interval_us;
   o.lock.wait_timeout_us = 300000;
   return o;
-}
-
-plog::PartitionedLogManager* Plm(Database* db) {
-  return static_cast<plog::PartitionedLogManager*>(db->log_manager());
 }
 
 // Fresh (pre-wiped) per-test data directory for file-backed durability.
@@ -510,7 +505,7 @@ TEST(CkptTest, ReopenWithEagerIndexRootsDoesNotReuseLoggedPageIds) {
 
 TEST(CkptTest, CentralFileBackendReopenRecovers) {
   const std::string dir = TempDataDir("central_reopen");
-  Database::Options opts;  // central backend
+  Database::Options opts;  // central log: one shared partition
   opts.buffer_frames = 256;
   opts.log.flush_interval_us = 20;
   opts.data_dir = dir;
@@ -526,7 +521,7 @@ TEST(CkptTest, CentralFileBackendReopenRecovers) {
     db.SimulateCrash();
   }
   Database db(opts);
-  // Central backend, same contract: schema restored from catalog.db.
+  // Central log, same contract: schema restored from catalog.db.
   ASSERT_NE(db.catalog()->GetTable("t"), nullptr);
   table = db.catalog()->GetTable("t")->id;
   ASSERT_TRUE(db.Recover(nullptr).ok());
@@ -688,7 +683,7 @@ TEST(CkptTest, ColdPartitionDoesNotPinTruncation) {
 // ------------------------------------------------ global mode + central
 
 TEST(CkptTest, GlobalCheckpointOnCentralBackendTruncates) {
-  Database::Options opts;  // central backend
+  Database::Options opts;  // central log: one shared partition
   opts.buffer_frames = 256;
   opts.log.flush_interval_us = 20;
   Database db(opts);
@@ -740,25 +735,6 @@ TEST(CkptTest, CrcDetectsCorruptedMiddleInPartitionStream) {
   }
 }
 
-TEST(CkptTest, CrcDetectsCorruptedMiddleInCentralLog) {
-  LogManager::Options o;
-  o.flush_interval_us = 1000000;
-  LogManager log{o};
-  for (int i = 0; i < 8; ++i) {
-    LogRecord rec;
-    rec.type = LogType::kInsert;
-    rec.txn = 1;
-    rec.after = std::string(40, static_cast<char>('A' + i));
-    log.Append(&rec);
-  }
-  log.FlushTo(log.current_lsn());
-  ASSERT_EQ(log.ReadStable().size(), 8u);
-  log.FlipStableByte(log.stable_size() / 2);
-  const auto recs = log.ReadStable();
-  EXPECT_LT(recs.size(), 8u);
-  EXPECT_GT(recs.size(), 0u);
-}
-
 TEST(CkptTest, CorruptedMiddleBoundsRecoveryNotJustTornTail) {
   // End-to-end: corruption in one partition's stable middle behaves like a
   // (detected) torn tail — the merged recovery horizon drops to the last
@@ -770,8 +746,8 @@ TEST(CkptTest, CorruptedMiddleBoundsRecoveryNotJustTornTail) {
   const std::vector<Rid> rids = CommitInserts(&db, table, 12, "x");
   db.log_manager()->FlushTo(db.log_manager()->current_lsn());
 
-  Plm(&db)->partition(0)->FlipStableByte(
-      Plm(&db)->partition(0)->stable_size() * 3 / 4);
+  db.log_manager()->partition(0)->FlipStableByte(
+      db.log_manager()->partition(0)->stable_size() * 3 / 4);
   db.SimulateCrash();
   ASSERT_TRUE(db.Recover(nullptr).ok());
   // Rows whose chains sit entirely below the corruption point survive;

@@ -72,7 +72,7 @@ FaultPlan WalPlan(FaultOp op, FaultMode mode = FaultMode::kError,
   p.err = err;
   p.sticky = sticky;
   p.nth = nth;
-  p.path_substr = "seg-";  // WAL segment files only, both backends
+  p.path_substr = "seg-";  // WAL segment files only
   return p;
 }
 

@@ -47,10 +47,6 @@ Database::Options PlogDb(uint32_t parts = 4, uint64_t interval_us = 20) {
   return o;
 }
 
-plog::PartitionedLogManager* Plm(Database* db) {
-  return static_cast<plog::PartitionedLogManager*>(db->log_manager());
-}
-
 // --------------------------------------------------------- plog unit tests
 
 TEST(PlogTest, ConcurrentBoundAppendersGetUniqueOrderedGsns) {
@@ -600,7 +596,7 @@ TEST(PlogPropertyTest, TornTailCrashRecoversCommittedPrefix) {
       }
       // Random per-partition flush progress between transactions.
       if (rng.Percent(30)) {
-        Plm(&db)->FlushPartition(static_cast<uint32_t>(
+        db.log_manager()->FlushPartition(static_cast<uint32_t>(
             rng.UniformInt(uint64_t{0}, kPartitions - 1)));
       }
     }
@@ -610,7 +606,7 @@ TEST(PlogPropertyTest, TornTailCrashRecoversCommittedPrefix) {
     // a torn tail) reaches the stable region without a watermark advance.
     for (uint32_t p = 0; p < kPartitions; ++p) {
       if (rng.Percent(60)) {
-        Plm(&db)->partition(p)->PartialFlushTorn(
+        db.log_manager()->partition(p)->PartialFlushTorn(
             rng.UniformInt(uint64_t{0}, uint64_t{4096}));
       }
     }
@@ -750,7 +746,7 @@ TEST(PlogPropertyTest, CheckpointedCrashLoopRecoversCommittedPrefix) {
           // A client that insists on its ack: group-commit wait.
           db.log_manager()->WaitFlushed(gsn);
         } else if (rng.Percent(40)) {
-          Plm(&db)->FlushPartition(static_cast<uint32_t>(
+          db.log_manager()->FlushPartition(static_cast<uint32_t>(
               rng.UniformInt(uint64_t{0}, kPartitions - 1)));
         }
         drain_acks();
@@ -765,7 +761,7 @@ TEST(PlogPropertyTest, CheckpointedCrashLoopRecoversCommittedPrefix) {
       // Crash: random per-partition flush progress, possibly mid-record.
       for (uint32_t p = 0; p < kPartitions; ++p) {
         if (rng.Percent(60)) {
-          Plm(&db)->partition(p)->PartialFlushTorn(
+          db.log_manager()->partition(p)->PartialFlushTorn(
               rng.UniformInt(uint64_t{0}, uint64_t{4096}));
         }
       }
@@ -899,7 +895,7 @@ TEST(PlogPropertyTest, FileBackendCrashLoopAcrossLifetimes) {
         if (rng.Percent(50)) {
           db->log_manager()->WaitFlushed(gsn);
         } else if (rng.Percent(40)) {
-          Plm(db.get())->FlushPartition(static_cast<uint32_t>(
+          db->log_manager()->FlushPartition(static_cast<uint32_t>(
               rng.UniformInt(uint64_t{0}, kPartitions - 1)));
         }
         drain_acks();
@@ -913,7 +909,7 @@ TEST(PlogPropertyTest, FileBackendCrashLoopAcrossLifetimes) {
       // tearing mid-record — the "killed between two fsyncs" shape.
       for (uint32_t p = 0; p < kPartitions; ++p) {
         if (rng.Percent(60)) {
-          Plm(db.get())->partition(p)->PartialFlushTorn(
+          db->log_manager()->partition(p)->PartialFlushTorn(
               rng.UniformInt(uint64_t{0}, uint64_t{4096}));
         }
       }

@@ -13,8 +13,8 @@
 namespace doradb {
 namespace {
 
-LogManager::Options SyncLog() {
-  LogManager::Options o;
+plog::LogOptions SyncLog() {
+  plog::LogOptions o;
   o.synchronous = false;
   o.flush_interval_us = 20;
   return o;
@@ -83,10 +83,18 @@ TEST(LogRecordTest, CheckpointCarriesActiveTxns) {
   EXPECT_EQ(out.active_txns, (std::vector<TxnId>{1, 5, 9}));
 }
 
-// ------------------------------------------------------------ log manager
+// ----------------------------------------- the central (one-partition) log
 
-TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
-  LogManager log{SyncLog()};
+// The central log: one partition every thread appends through.
+LogBackend::Options OnePartition(const plog::LogOptions& log) {
+  LogBackend::Options o;
+  o.num_partitions = 1;
+  o.log = log;
+  return o;
+}
+
+TEST(OnePartitionLogTest, AppendAssignsMonotoneLsns) {
+  LogBackend log{OnePartition(SyncLog())};
   LogRecord a, b;
   a.type = b.type = LogType::kBegin;
   log.Append(&a);
@@ -94,8 +102,8 @@ TEST(LogManagerTest, AppendAssignsMonotoneLsns) {
   EXPECT_LT(a.lsn, b.lsn);
 }
 
-TEST(LogManagerTest, WaitFlushedMakesDurable) {
-  LogManager log{SyncLog()};
+TEST(OnePartitionLogTest, WaitFlushedMakesDurable) {
+  LogBackend log{OnePartition(SyncLog())};
   LogRecord rec;
   rec.type = LogType::kCommit;
   rec.txn = 1;
@@ -107,10 +115,10 @@ TEST(LogManagerTest, WaitFlushedMakesDurable) {
   EXPECT_EQ(recs[0].type, LogType::kCommit);
 }
 
-TEST(LogManagerTest, DiscardVolatileTailLosesUnflushed) {
-  LogManager::Options o;
+TEST(OnePartitionLogTest, DiscardVolatileTailLosesUnflushed) {
+  plog::LogOptions o;
   o.flush_interval_us = 1000000;  // effectively never auto-flush
-  LogManager log{o};
+  LogBackend log{OnePartition(o)};
   LogRecord a;
   a.type = LogType::kBegin;
   a.txn = 1;
@@ -126,12 +134,16 @@ TEST(LogManagerTest, DiscardVolatileTailLosesUnflushed) {
   EXPECT_EQ(recs[0].type, LogType::kBegin);
 }
 
-TEST(LogManagerTest, ConcurrentAppendersKeepRecordsIntact) {
-  LogManager log{SyncLog()};
+TEST(OnePartitionLogTest, ConcurrentAppendersKeepRecordsIntact) {
+  LogBackend log{OnePartition(SyncLog())};
+  ASSERT_EQ(log.num_partitions(), 1u);
   constexpr int kThreads = 4, kPerThread = 500;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      // A DORA executor's binding: with one partition every hint lands on
+      // the shared latch.
+      log.BindThisThread(static_cast<uint32_t>(t));
       for (int i = 0; i < kPerThread; ++i) {
         LogRecord rec;
         rec.type = LogType::kUpdate;
@@ -142,6 +154,8 @@ TEST(LogManagerTest, ConcurrentAppendersKeepRecordsIntact) {
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_EQ(log.partition(0)->appends(),
+            static_cast<uint64_t>(kThreads * kPerThread));
   log.FlushTo(log.current_lsn());
   const auto recs = log.ReadStable();
   EXPECT_EQ(recs.size(), static_cast<size_t>(kThreads * kPerThread));

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: spin latches (TATAS, MCS), the
-// reader-writer latch, blocking queues, the time-breakdown accounting
+// reader-writer latch, the time-breakdown accounting
 // machinery, and RNG distributions.
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
-#include "util/queue.h"
 #include "util/rng.h"
 #include "util/rwlatch.h"
 #include "util/spinlock.h"
@@ -146,99 +145,6 @@ TEST(RwLatchTest, ReadersWritersStress) {
   ts[3].join();
   EXPECT_FALSE(torn.load());
   EXPECT_EQ(value, 2 * 2 * 5000);
-}
-
-// ------------------------------------------------------------------ queues
-
-TEST(BlockingQueueTest, FifoOrder) {
-  BlockingQueue<int> q;
-  for (int i = 0; i < 100; ++i) q.Push(i);
-  for (int i = 0; i < 100; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(BlockingQueueTest, PopBlocksUntilPush) {
-  BlockingQueue<int> q;
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    auto v = q.Pop();
-    got = v.has_value() && *v == 42;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(got.load());
-  q.Push(42);
-  consumer.join();
-  EXPECT_TRUE(got.load());
-}
-
-TEST(BlockingQueueTest, CloseWakesConsumers) {
-  BlockingQueue<int> q;
-  std::thread consumer([&] {
-    auto v = q.Pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.Close();
-  consumer.join();
-}
-
-TEST(BlockingQueueTest, PopAllDrainsBacklogInOrder) {
-  BlockingQueue<int> q;
-  for (int i = 0; i < 50; ++i) q.Push(i);
-  std::deque<int> batch = q.PopAll();
-  ASSERT_EQ(batch.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(batch[static_cast<size_t>(i)], i);
-  // Queue is empty now; a later push starts a fresh batch.
-  q.Push(99);
-  batch = q.PopAll();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.front(), 99);
-}
-
-TEST(BlockingQueueTest, PopAllBlocksThenTakesEverything) {
-  BlockingQueue<int> q;
-  std::atomic<size_t> got{0};
-  std::thread consumer([&] { got = q.PopAll().size(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(got.load(), 0u);
-  q.Push(1);
-  q.Push(2);
-  consumer.join();
-  // At least the first item; typically both land in the one batch.
-  EXPECT_GE(got.load(), 1u);
-}
-
-TEST(BlockingQueueTest, PopAllReturnsEmptyOnlyWhenClosed) {
-  BlockingQueue<int> q;
-  q.Push(7);
-  q.Close();
-  EXPECT_EQ(q.PopAll().size(), 1u) << "close drains the backlog first";
-  EXPECT_TRUE(q.PopAll().empty()) << "closed + empty = empty batch";
-}
-
-TEST(BlockingQueueTest, MpmcDeliversEverything) {
-  BlockingQueue<int> q;
-  constexpr int kProducers = 3, kConsumers = 3, kPer = 2000;
-  std::atomic<int64_t> sum{0};
-  std::vector<std::thread> ts;
-  for (int p = 0; p < kProducers; ++p) {
-    ts.emplace_back([&, p] {
-      for (int i = 0; i < kPer; ++i) q.Push(p * kPer + i);
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    ts.emplace_back([&] {
-      while (auto v = q.Pop()) sum.fetch_add(*v);
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) ts[p].join();
-  q.Close();
-  for (int c = 0; c < kConsumers; ++c) ts[kProducers + c].join();
-  const int64_t n = kProducers * kPer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 // -------------------------------------------------------------- sync stats

@@ -77,22 +77,6 @@ TEST_F(TpcbTest, InvariantHoldsUnderConcurrentBaseline) {
       << "balance sums must agree across Branch/Teller/Account/History";
 }
 
-TEST_F(TpcbTest, InvariantHoldsUnderQueuedBaseline) {
-  // Queued-baseline mode: clients submit to one shared BlockingQueue that
-  // a worker pool drains in batches (PopAll); completions return on
-  // per-client channels.
-  BenchConfig cfg;
-  cfg.engine = EngineKind::kBaseline;
-  cfg.num_clients = 4;
-  cfg.baseline_workers = 2;
-  cfg.duration_ms = 300;
-  cfg.warmup_ms = 50;
-  const BenchResult r = RunBench(workload_.get(), cfg);
-  EXPECT_GT(r.committed, 50u);
-  EXPECT_TRUE(workload_->CheckConsistency().ok())
-      << "queued dispatch must preserve the TPC-B invariant";
-}
-
 TEST_F(TpcbTest, InvariantHoldsUnderConcurrentDora) {
   BenchConfig cfg;
   cfg.engine = EngineKind::kDora;
