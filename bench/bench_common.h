@@ -48,10 +48,6 @@
 //                         stderr at this cadence (default 0 = off)
 //   DORADB_TRACE_RING     >0: enable the commit-path tracer with rings of
 //                         this many events per thread (default 0 = off)
-//   DORADB_PROF_SAMPLE    stage-gap profiler sampling: every Nth txn is
-//                         stamped along the commit path (default 64,
-//                         0 = off) — read by the engine, listed here for
-//                         discoverability
 //   DORADB_WATCHDOG_MS    stall-watchdog cadence (default 250, 0 = off)
 //   DORADB_STALL_MS       heartbeat/horizon age that counts as a stall
 //                         (default 2000)

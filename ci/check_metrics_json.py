@@ -15,9 +15,9 @@ format, normally on stderr) and fails if:
     zero-sample window (count == 0) — a populated histogram must report
     integer percentiles, and an empty one must not fake a 0;
   * across all lines, no metric was seen from one of the engine's core
-    namespaces (dora., log., txn., ckpt., prof.) — the smoke runs a
-    started engine, so every subsystem (including the stage-gap
-    profiler) must have checked in;
+    namespaces (dora., log., txn., ckpt.) — the smoke runs a started
+    engine, so its executors, WAL, transaction layer and checkpointer
+    must all have checked in;
   * the durability health metrics are missing: every snapshot must carry
     the "engine.health_state" gauge (0 ok, 1 degraded) and the
     "log.io_retries" / "log.io_errors" counters, so a degraded engine
@@ -62,7 +62,7 @@ HISTOGRAM_VALUE_FIELDS = ("min", "max", "p50", "p95", "p99", "p999")
 HEATMAP_ROW_FIELDS = ("exec", "depth", "drained_per_s", "qwait_p99_ns",
                       "busy_frac")
 VALID_REASONS = {"interval", "final"}
-REQUIRED_NAMESPACES = ("dora.", "log.", "txn.", "ckpt.", "prof.")
+REQUIRED_NAMESPACES = ("dora.", "log.", "txn.", "ckpt.")
 # Fault-injection / degradation visibility: registered unconditionally by
 # every Database, so their absence means the health plumbing regressed.
 REQUIRED_HEALTH_METRICS = ("engine.health_state", "log.io_retries",

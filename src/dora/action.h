@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "obs/profiler.h"
 #include "txn/transaction.h"
 #include "util/mpsc_queue.h"
 #include "util/status.h"
@@ -315,13 +314,7 @@ class DoraTxn {
     result_ = Status::OK();
     abort_reason_ = Status::OK();
     refs_.store(1, std::memory_order_relaxed);
-    prof.Reset();
   }
-
-  // Stage-gap profiler card (obs/profiler.h): armed for sampled txns at
-  // dispatch, stamped along the commit path, folded into registry
-  // histograms once at completion.
-  obs::StageStamps prof;
 
   // Materialized graph state (owned by the txn context; capacities survive
   // recycling).

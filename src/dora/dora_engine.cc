@@ -9,7 +9,6 @@
 #include "obs/heartbeat.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -121,10 +120,6 @@ void DoraEngine::Start() {
     for (auto& e : group->executors) e->Start();
   }
 
-  // Stage-gap profiler: picks up DORADB_PROF_SAMPLE on the first engine
-  // start (an explicit StageGapProfiler::Enable beforehand wins).
-  obs::StageGapProfiler::EnsureInitFromEnv();
-
   // Register this engine's executors as a load-heatmap source: the
   // watchdog's periodic sweep (or an explicit LoadHeatmap::Sweep in tests)
   // pulls each executor's raw counters and turns deltas into per-window
@@ -132,9 +127,9 @@ void DoraEngine::Start() {
   heatmap_token_ = obs::LoadHeatmap::Default().RegisterSource([this] {
     std::vector<obs::ExecLoadRaw> out;
     for (Executor* e : AllExecutors()) {
-      out.push_back(obs::ExecLoadRaw{
-          e->global_index(), static_cast<uint64_t>(e->inbox_depth()),
-          e->actions_executed(), e->busy_cycles(), e->queue_wait_hist()});
+      out.push_back(obs::ExecLoadRaw{e->global_index(), e->inbox_depth(),
+                                     e->actions_executed(), e->busy_cycles(),
+                                     e->queue_wait_hist()});
     }
     return out;
   });
@@ -281,9 +276,6 @@ void DoraEngine::AckLoop(AckShard* shard, size_t idx) {
           continue;
         }
         obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
-        if (ack.dtxn->prof.armed) {
-          ack.dtxn->prof.Stamp(obs::TraceStage::kDurable);
-        }
         if (txn->logged_work()) {
           pipelined_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -294,10 +286,6 @@ void DoraEngine::AckLoop(AckShard* shard, size_t idx) {
               Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
         }
         obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
-        if (ack.dtxn->prof.armed) {
-          ack.dtxn->prof.Stamp(obs::TraceStage::kAck);
-          obs::StageGapProfiler::RecordTxn(ack.dtxn->prof);
-        }
         ack.dtxn->Complete(s);
         ack.dtxn->Unref();  // ack queue's reference
       }
@@ -357,13 +345,6 @@ Status DoraEngine::Run(const DoraTxnRef& dtxn, FlowGraph&& graph) {
     }
   }
   obs::CommitTracer::Stamp(t->txn()->id(), obs::TraceStage::kDispatch);
-  // Arm the always-on stage-gap profiler for 1-in-N transactions: the
-  // stamps ride in the txn context (relaxed first-wins CAS per slot) and
-  // fold into registry histograms exactly once at completion.
-  if (obs::StageGapProfiler::Sample(t->txn()->id())) {
-    t->prof.armed = true;
-    t->prof.Stamp(obs::TraceStage::kDispatch);
-  }
   DispatchPhase(t, 0);
   return t->Wait();
 }
@@ -437,10 +418,6 @@ void DoraEngine::DispatchPhase(DoraTxn* dtxn, size_t phase) {
   // deadlocks between them. Single-executor phases (the common case) skip
   // the ticket entirely.
   const uint64_t ticket = multi ? tickets_.Take() : 0;
-  // Profiler enqueue stamp lands BEFORE the pushes (first-wins: only the
-  // txn's first phase records), so drain - enqueue is a true queue wait
-  // even when the executor drains faster than this loop finishes.
-  if (dtxn->prof.armed) dtxn->prof.Stamp(obs::TraceStage::kEnqueue);
   for (Action* a : actions) {
     a->ticket = ticket;
     a->owner->PushToInbox(a);
@@ -484,9 +461,6 @@ void DoraEngine::FanOutCompletions(DoraTxn* dtxn) {
 void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
   Transaction* txn = dtxn->txn();
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
-  if (dtxn->prof.armed) {
-    dtxn->prof.Stamp(obs::TraceStage::kDurable);
-  }
   if (txn->logged_work()) {
     pipelined_.fetch_add(1, std::memory_order_relaxed);
     acked_inline_.fetch_add(1, std::memory_order_relaxed);
@@ -498,10 +472,6 @@ void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
         Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
   }
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
-  if (dtxn->prof.armed) {
-    dtxn->prof.Stamp(obs::TraceStage::kAck);
-    obs::StageGapProfiler::RecordTxn(dtxn->prof);
-  }
   dtxn->Complete(s);
 }
 
@@ -536,9 +506,6 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn) {
     Transaction* txn = dtxn->txn();
     const Lsn commit_lsn = db_->CommitAsync(txn);
     obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kCommitAppend);
-    if (dtxn->prof.armed) {
-      dtxn->prof.Stamp(obs::TraceStage::kCommitAppend);
-    }
     // A writer publishes its commit LSN before any lock goes, so every
     // transaction that reads its writes waits for their durability.
     if (txn->logged_work()) db_->RaiseEarlyReleaseHorizon(commit_lsn);
@@ -572,15 +539,7 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn) {
           ->Add();
     }
   } else {
-    // Synchronous commit bundles append + durable flush; bracket it so the
-    // profiled flush_wait gap (append->durable) covers the blocking wait.
-    if (dtxn->prof.armed) {
-      dtxn->prof.Stamp(obs::TraceStage::kCommitAppend);
-    }
     final_status = db_->Commit(dtxn->txn());
-    if (dtxn->prof.armed) {
-      dtxn->prof.Stamp(obs::TraceStage::kDurable);
-    }
     if (final_status.ok()) {
       committed_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -594,12 +553,6 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn) {
   // Completion fan-out (§A.1 steps 10-12) after commit/abort completes.
   FanOutCompletions(dtxn);
   obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kAck);
-  if (dtxn->prof.armed) {
-    dtxn->prof.Stamp(obs::TraceStage::kAck);
-    // Aborted transactions record too: their missing durable/append
-    // endpoints simply skip those gaps.
-    obs::StageGapProfiler::RecordTxn(dtxn->prof);
-  }
   dtxn->Complete(std::move(final_status));
 }
 

@@ -121,10 +121,6 @@ void Executor::Classify(MpscNode* chain) {
           obs::CommitTracer::Stamp(a->dtxn->txn()->id(),
                                    obs::TraceStage::kDrain);
         }
-        if (a->dtxn->prof.armed) {
-          a->dtxn->prof.Stamp(obs::TraceStage::kDrain);
-          a->dtxn->prof.SetExecutor(global_index_);
-        }
         if (a->ticket == 0) {
           ready_.push_back(a);
         } else {
@@ -296,7 +292,6 @@ void Executor::ExecuteGranted(Action* a) {
   }
   actions_executed_.fetch_add(1, std::memory_order_relaxed);
   obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kExecute);
-  if (dtxn->prof.armed) dtxn->prof.Stamp(obs::TraceStage::kExecute);
   ReportToRvp(a);
 }
 

@@ -2,7 +2,8 @@
 // percentile interpolation, sharded-counter aggregation under concurrency,
 // registry snapshot/delta semantics, JSON round-tripping, the commit-path
 // tracer (ring wraparound + the seven lifecycle spans over a real DORA
-// run), and the background stats reporter's output format.
+// run, synchronous and pipelined commit), and the background stats
+// reporter's output format.
 
 #include <atomic>
 #include <cstdio>
@@ -16,10 +17,8 @@
 
 #include "dora/dora_engine.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
-#include "util/clock.h"
 #include "util/histogram.h"
 
 namespace doradb {
@@ -254,18 +253,30 @@ TEST(TraceTest, DisabledStampIsDropped) {
   CommitTracer::Disable();
 }
 
+uint64_t HistCount(const MetricsSnapshot& snap, const std::string& name) {
+  const MetricValue* m = snap.Find(name);
+  return m == nullptr ? 0 : m->count;
+}
+
 // One committed DORA transaction must show every lifecycle span, in order:
 // dispatch → enqueue → drain → execute → commit-append → durable → ack.
-TEST(TraceTest, SevenSpansForCommittedTxn) {
+// Parameterized over pipelined commit: the synchronous arm stamps durable
+// and ack in FinishTxn, the pipelined arm in FinalizeInline or AckLoop.
+class CommitPathTraceTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
   Database::Options opts;
   opts.buffer_frames = 1024;
   Database db(opts);
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
-  dora::DoraEngine engine(&db);
+  dora::DoraEngine::Options eopts;
+  eopts.pipelined_commit = GetParam();
+  dora::DoraEngine engine(&db, eopts);
   engine.RegisterTable(table, 100, 2);
   engine.Start();
 
+  const MetricsSnapshot before = db.Metrics();
   CommitTracer::Enable();
   auto dtxn = engine.BeginTxn();
   const uint64_t txn_id = dtxn->txn()->id();
@@ -282,6 +293,12 @@ TEST(TraceTest, SevenSpansForCommittedTxn) {
   const std::vector<TraceEvent> events = CommitTracer::Dump();
   const std::string text = CommitTracer::DumpText();
   CommitTracer::Disable();
+  const MetricsSnapshot after = db.Metrics();
+  std::vector<std::string> exec_waits;
+  for (const dora::Executor* e : engine.AllExecutors()) {
+    exec_waits.push_back("dora.exec." + std::to_string(e->global_index()) +
+                         ".queue_wait_ns");
+  }
   engine.Stop();
 
   std::vector<const TraceEvent*> mine;
@@ -305,7 +322,28 @@ TEST(TraceTest, SevenSpansForCommittedTxn) {
     EXPECT_NE(text.find(TraceStageName(static_cast<TraceStage>(s))),
               std::string::npos);
   }
+
+  // The executors' drain histograms are the per-executor queue-wait
+  // signal (heatmap, rebalance trigger); the drain that served the action
+  // must have recorded into both the engine-wide and a per-executor one.
+  EXPECT_GT(HistCount(after, "dora.inbox.drain_wait_ns"),
+            HistCount(before, "dora.inbox.drain_wait_ns"));
+  uint64_t exec_samples = 0;
+  for (const std::string& name : exec_waits) {
+    exec_samples += HistCount(after, name) - HistCount(before, name);
+  }
+  EXPECT_GT(exec_samples, 0u);
+  // The tracer is the only stage stamper: no sampled stage-gap histograms.
+  for (const MetricValue& m : after.metrics) {
+    EXPECT_FALSE(m.name.rfind("prof.", 0) == 0) << m.name;
+    EXPECT_EQ(m.name.find(".gap."), std::string::npos) << m.name;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(CommitPaths, CommitPathTraceTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Pipelined" : "Synchronous";
+                         });
 
 // ----------------------------------------------------------------- reporter
 
@@ -422,83 +460,6 @@ TEST(JsonTest, ZeroSampleWindowSerializesNullPercentiles) {
   ASSERT_NE(lm, nullptr);
   EXPECT_TRUE(lm->has_percentiles);
   EXPECT_GE(lm->p50, 4096u);
-}
-
-// --------------------------------------------------------------- profiler
-
-// Fill a synthetic stamp card (the card embeds atomics, so it can't be
-// returned by value): enqueue→drain = queue_ns, drain→execute = svc_ns.
-void FillStamps(StageStamps* s, uint64_t queue_ns, uint64_t svc_ns) {
-  s->Reset();
-  const double per_ns = Cycles::PerNanosecond();
-  const uint64_t base = Cycles::Now();
-  s->tsc[static_cast<size_t>(TraceStage::kEnqueue)].store(
-      base, std::memory_order_relaxed);
-  s->tsc[static_cast<size_t>(TraceStage::kDrain)].store(
-      base + static_cast<uint64_t>(queue_ns * per_ns),
-      std::memory_order_relaxed);
-  s->tsc[static_cast<size_t>(TraceStage::kExecute)].store(
-      base + static_cast<uint64_t>((queue_ns + svc_ns) * per_ns),
-      std::memory_order_relaxed);
-  s->armed = true;
-}
-
-TEST(ProfilerTest, SampledHistogramsTrackFullRate) {
-  // 1-in-8 sampling must land within tolerance of full-rate profiling on
-  // a deterministic workload: gap(id) cycles through 7 values while the
-  // sampler keeps every 8th id, so the subsample sees every residue.
-  auto& reg = MetricsRegistry::Default();
-  Histogram* qh = reg.GetHistogram("prof.gap.queue_wait_ns", "ns");
-
-  auto run = [&](uint32_t sample_n, uint64_t ids) -> double {
-    StageGapProfiler::Enable(sample_n);
-    const uint64_t count0 = qh->Count();
-    const uint64_t sum0 = qh->Sum();
-    StageStamps s;
-    for (uint64_t id = 0; id < ids; ++id) {
-      if (!StageGapProfiler::Sample(id)) continue;
-      const uint64_t queue_ns = 1000 + (id % 7) * 300;
-      FillStamps(&s, queue_ns, 500);
-      StageGapProfiler::RecordTxn(s);
-    }
-    const uint64_t dc = qh->Count() - count0;
-    EXPECT_GT(dc, 0u);
-    return dc == 0 ? 0.0
-                   : static_cast<double>(qh->Sum() - sum0) /
-                         static_cast<double>(dc);
-  };
-
-  const double mean_full = run(1, 5600);
-  const double mean_sampled = run(8, 5600);
-  StageGapProfiler::Disable();
-  ASSERT_GT(mean_full, 0.0);
-  EXPECT_NEAR(mean_sampled / mean_full, 1.0, 0.25)
-      << "full=" << mean_full << " sampled=" << mean_sampled;
-}
-
-TEST(ProfilerTest, MissingEndpointsAreSkippedNotZero) {
-  auto& reg = MetricsRegistry::Default();
-  Histogram* fh = reg.GetHistogram("prof.gap.flush_wait_ns", "ns");
-  Histogram* qh = reg.GetHistogram("prof.gap.queue_wait_ns", "ns");
-  StageGapProfiler::Enable(1);
-  const uint64_t f0 = fh->Count();
-  const uint64_t q0 = qh->Count();
-  // Only enqueue/drain/execute stamped (an aborted txn that never reached
-  // commit-append): the flush gap must gain no sample at all.
-  StageStamps s;
-  FillStamps(&s, 2000, 700);
-  StageGapProfiler::RecordTxn(s);
-  StageGapProfiler::Disable();
-  EXPECT_EQ(fh->Count(), f0);
-  EXPECT_EQ(qh->Count(), q0 + 1);
-}
-
-TEST(ProfilerTest, DisabledSamplerSelectsNothing) {
-  StageGapProfiler::Disable();
-  EXPECT_FALSE(StageGapProfiler::Enabled());
-  for (uint64_t id = 0; id < 100; ++id) {
-    EXPECT_FALSE(StageGapProfiler::Sample(id));
-  }
 }
 
 }  // namespace

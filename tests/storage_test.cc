@@ -25,7 +25,7 @@ namespace {
 class SlottedPageTest : public ::testing::Test {
  protected:
   SlottedPageTest() : page_(buf_) { page_.Init(7, 3); }
-  alignas(8) uint8_t buf_[kPageSize];
+  alignas(8) uint8_t buf_[kPageSize] = {};
   SlottedPage page_;
 };
 

@@ -460,7 +460,7 @@ TEST_F(RecoveryTest, IndexRebuiltViaCallback) {
     // Schema-aware rebuild: re-key every heap record (key 1 here).
     rebuilt = true;
     return db->catalog()->Heap(table_)->Scan(
-        [&](const Rid& r, std::string_view) {
+        [&](const Rid&, std::string_view) {
           KeyBuilder kb2;
           kb2.Add64(1);
           // A rebuilt index starts empty in a real restart; here the old
