@@ -54,6 +54,17 @@
 //   DORADB_OBS_PORT       live metrics endpoint: unset/-1 off, 0 bind an
 //                         ephemeral loopback port (announced via a
 //                         "DORADB_OBS {json}" stderr line), >0 fixed port
+//
+// Storage fault-injection knobs (util/fault_injector.h; the plan is armed
+// once per process, before the first rig's Database, so the occurrence
+// counters run across every rig the binary builds):
+//   DORADB_FAULT_OP       pwrite | fdatasync (also fsync) | open
+//                         (unset = injector disarmed)
+//   DORADB_FAULT_ERR      eio | enospc               (default eio)
+//   DORADB_FAULT_NTH      1-based occurrence that faults (default 1)
+//   DORADB_FAULT_STICKY   1 = fault every occurrence >= Nth (default 0)
+//   DORADB_FAULT_MODE     error | short | torn  (pwrite only; default error)
+//   DORADB_FAULT_PATH     substring filter on the target path
 
 #ifndef DORADB_BENCH_BENCH_COMMON_H_
 #define DORADB_BENCH_BENCH_COMMON_H_
@@ -61,8 +72,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -75,6 +88,7 @@
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/fault_injector.h"
 #include "util/thread_pool.h"
 #include "workloads/common/driver.h"
 #include "workloads/tm1/tm1.h"
@@ -166,21 +180,61 @@ inline std::string ClaimRigDataDir() {
   return dir;
 }
 
-// Process-wide observability switches. Applied once: the tracer's Enable
-// clears every ring, so re-applying per rig would drop the spans collected
-// by earlier rigs in the same binary.
-inline void ApplyObsEnv() {
+// The DORADB_FAULT_* plan. An unknown op leaves the injector disarmed
+// rather than faulting the wrong syscall.
+inline FaultPlan FaultPlanFromEnv() {
+  FaultPlan plan;
+  const char* op = std::getenv("DORADB_FAULT_OP");
+  if (op == nullptr || *op == '\0') return plan;
+  if (std::strcmp(op, "pwrite") == 0) {
+    plan.op = FaultOp::kPwrite;
+  } else if (std::strcmp(op, "fdatasync") == 0 ||
+             std::strcmp(op, "fsync") == 0) {
+    plan.op = FaultOp::kFdatasync;
+  } else if (std::strcmp(op, "open") == 0) {
+    plan.op = FaultOp::kOpen;
+  } else {
+    return plan;
+  }
+  plan.err = EIO;
+  if (const char* err = std::getenv("DORADB_FAULT_ERR")) {
+    if (std::strcmp(err, "enospc") == 0) plan.err = ENOSPC;
+  }
+  if (const char* nth = std::getenv("DORADB_FAULT_NTH")) {
+    const long long v = std::atoll(nth);
+    if (v > 0) plan.nth = static_cast<uint64_t>(v);
+  }
+  if (const char* sticky = std::getenv("DORADB_FAULT_STICKY")) {
+    plan.sticky = std::atoi(sticky) != 0;
+  }
+  if (const char* mode = std::getenv("DORADB_FAULT_MODE")) {
+    if (std::strcmp(mode, "short") == 0) plan.mode = FaultMode::kShortWrite;
+    if (std::strcmp(mode, "torn") == 0) plan.mode = FaultMode::kTorn;
+  }
+  if (const char* path = std::getenv("DORADB_FAULT_PATH")) {
+    plan.path_substr = path;
+  }
+  return plan;
+}
+
+// Process-wide switches: observability and the fault plan. Applied once:
+// the tracer's Enable clears every ring, and Arm zeroes the occurrence
+// counters, so re-applying per rig would drop the spans collected by
+// earlier rigs and refire a one-shot fault in every rig.
+inline void ApplyProcessEnv() {
   static const bool applied = [] {
     if (EnvU64("DORADB_METRICS", 1) == 0) obs::SetMetricsEnabled(false);
     const uint64_t ring = EnvU64("DORADB_TRACE_RING", 0);
     if (ring > 0) obs::CommitTracer::Enable(static_cast<size_t>(ring));
+    const FaultPlan plan = FaultPlanFromEnv();
+    if (plan.op != FaultOp::kNone) FaultInjector::Default().Arm(plan);
     return true;
   }();
   (void)applied;
 }
 
 inline Database::Options DbOptions() {
-  ApplyObsEnv();
+  ApplyProcessEnv();
   Database::Options o;
   o.buffer_frames = 1 << 15;  // 256 MiB
   o.lock.wait_timeout_us = 1000000;

@@ -1,18 +1,16 @@
 // Restart time vs. log size (the src/ckpt/ + segment-file acceptance
 // experiment): TPC-B — the write-heaviest workload — run against the DORA
 // engine with the partitioned WAL and pipelined commit, then crashed and
-// recovered, under three checkpoint configurations:
+// recovered, under two checkpoint configurations:
 //
 //   off              no checkpoints: the stable log holds all of history
 //                    and restart replays every record ever written;
-//   global           the classic stall-the-world shape: one daemon visit
-//                    flushes the whole pool and truncates every stream;
-//   partition-local  the src/ckpt/ design: fuzzy per-partition visits,
+//   partition-local  the src/ckpt/ daemon: fuzzy per-partition visits,
 //                    each flushing only that partition's dirty pages and
 //                    advancing only its truncation point.
 //
 // The daemon visits once a partition's stable log has grown by one
-// segment, so both checkpointing modes run with small segments (8 KiB,
+// segment, so the checkpointing mode runs with small segments (8 KiB,
 // DORADB_LOG_SEGMENT_BYTES overrides) to cross that trigger many times
 // even in a 100 ms window.
 //
@@ -26,16 +24,19 @@
 // Reported per mode: committed tps while the daemon runs (checkpoints must
 // not stall execution), on-disk log bytes + segment files at the crash,
 // bytes reclaimed by truncation, records replayed by recovery, recovery
-// wall time, and (file-backed) the per-stream durability counters:
-// fsyncs, bytes flushed, segments sealed/unlinked.
+// wall time, storage faults injected by a DORADB_FAULT_* plan and I/O
+// retries during the run, and (file-backed) the per-stream durability
+// counters: fsyncs, bytes flushed, segments sealed/unlinked.
 //
-// Exit status: non-zero when a checkpointing mode ran no checkpoint or,
+// Exit status: non-zero when the checkpointing mode ran no checkpoint or,
 // file-backed, unlinked no segment.
 
 #include <chrono>
 
 #include "bench_common.h"
 #include "log/recovery.h"
+#include "obs/health.h"
+#include "util/fault_injector.h"
 #include "util/sync_stats.h"
 
 using namespace doradb;
@@ -54,6 +55,8 @@ struct Row {
   size_t replayed = 0;
   size_t horizon_skips = 0;
   double recover_ms = 0;
+  uint64_t faults_injected = 0;
+  uint64_t io_retries = 0;
 };
 
 uint64_t TotalUnlinked() {
@@ -66,7 +69,7 @@ uint64_t TotalUnlinked() {
   return n;
 }
 
-Row RunMode(const char* name, bool enabled, bool partition_local) {
+Row RunMode(const char* name, bool enabled) {
   constexpr uint32_t kAccountExecutors = 4;
   const uint32_t total_executors = kAccountExecutors + 3;
 
@@ -75,9 +78,7 @@ Row RunMode(const char* name, bool enabled, bool partition_local) {
   db_opts.log_backend = LogBackendKind::kPartitioned;
   db_opts.log_partitions = total_executors;
   db_opts.checkpoint.enabled = enabled;
-  db_opts.checkpoint.partition_local = partition_local;
   db_opts.checkpoint.truncate = true;
-  db_opts.checkpoint.interval_us = 2000;
   if (enabled) {
     db_opts.log_segment_bytes = EnvU64("DORADB_LOG_SEGMENT_BYTES", 8 << 10);
   }
@@ -85,6 +86,7 @@ Row RunMode(const char* name, bool enabled, bool partition_local) {
 
   dora::DoraEngine::Options engine_opts;
   engine_opts.pipelined_commit = true;
+  const uint64_t injected_before = FaultInjector::Default().injected();
   auto rig = MakeTpcbWith(db_opts, engine_opts, kAccountExecutors,
                           /*other_executors=*/1);
   const BenchResult r =
@@ -102,6 +104,9 @@ Row RunMode(const char* name, bool enabled, bool partition_local) {
   row.seg_files = rig.db->log_manager()->segment_files();
   row.reclaimed = rig.db->log_manager()->reclaimed_bytes();
   row.seg_unlinked = TotalUnlinked();
+  // Read before the restart: a reopened Database resets the health counters.
+  row.faults_injected = FaultInjector::Default().injected() - injected_before;
+  row.io_retries = obs::EngineHealth::Default().io_retries();
 
   if (file_backed) {
     // The real restart: kill the process image — buffers dropped with NO
@@ -171,23 +176,21 @@ int main() {
               file_backed
                   ? "TPC-B + plog on segment files: real cold restart"
                   : "TPC-B + plog: recovery cost vs checkpoint mode");
-  std::printf("%-16s %9s %7s %11s %9s %11s %9s %9s %10s %11s\n",
+  std::printf("%-16s %9s %7s %11s %9s %11s %9s %9s %10s %11s %7s %8s\n",
               "checkpoints", "tps", "ckpts", "log_bytes", "seg_files",
               "reclaimed", "unlinked", "replayed", "hzn_skips",
-              "recover_ms");
+              "recover_ms", "faults", "retries");
   struct ModeSpec {
     const char* name;
     bool enabled;
-    bool partition_local;
   };
   const ModeSpec specs[] = {
-      {"off", false, false},
-      {"global", true, false},
-      {"partition-local", true, true},
+      {"off", false},
+      {"partition-local", true},
   };
   bool failed = false;
   for (const ModeSpec& spec : specs) {
-    const Row row = RunMode(spec.name, spec.enabled, spec.partition_local);
+    const Row row = RunMode(spec.name, spec.enabled);
     if (spec.enabled && row.checkpoints == 0) {
       std::fprintf(stderr, "FAIL: %s ran no checkpoint\n", row.name);
       failed = true;
@@ -197,12 +200,15 @@ int main() {
       failed = true;
     }
     std::printf(
-        "%-16s %9.0f %7llu %11zu %9zu %11llu %9llu %9zu %10zu %11.2f\n",
+        "%-16s %9.0f %7llu %11zu %9zu %11llu %9llu %9zu %10zu %11.2f %7llu "
+        "%8llu\n",
         row.name, row.tps, static_cast<unsigned long long>(row.checkpoints),
         row.log_bytes, row.seg_files,
         static_cast<unsigned long long>(row.reclaimed),
         static_cast<unsigned long long>(row.seg_unlinked), row.replayed,
-        row.horizon_skips, row.recover_ms);
+        row.horizon_skips, row.recover_ms,
+        static_cast<unsigned long long>(row.faults_injected),
+        static_cast<unsigned long long>(row.io_retries));
     if (file_backed) {
       std::printf("  durability counters (per stream):\n%s",
                   DurabilityStats::ToString().c_str());
@@ -217,16 +223,17 @@ int main() {
                                  .Int("segments_unlinked", row.seg_unlinked)
                                  .Int("records_replayed", row.replayed)
                                  .Int("horizon_skips", row.horizon_skips)
-                                 .Num("recover_ms", row.recover_ms));
+                                 .Num("recover_ms", row.recover_ms)
+                                 .Int("faults_injected", row.faults_injected)
+                                 .Int("io_retries", row.io_retries));
   }
   std::printf(
       "\nexpected shape: without checkpoints the log and the replay grow\n"
-      "with the run; either checkpoint mode bounds them to the suffix\n"
-      "since the last round, and partition-local visits do it without a\n"
-      "whole-pool flush stall (tps should match or beat global). With\n"
-      "DORADB_DATA_DIR set, seg_files stays small and recover_ms is a real\n"
-      "second-lifetime reopen from disk.\n"
-      "checked: each checkpoint mode ran checkpoints (ckpts>0) and, with\n"
+      "with the run; partition-local checkpoints bound them to the suffix\n"
+      "since the last visit without a whole-pool flush stall (tps should\n"
+      "stay close to off). With DORADB_DATA_DIR set, seg_files stays small\n"
+      "and recover_ms is a real second-lifetime reopen from disk.\n"
+      "checked: the checkpoint mode ran checkpoints (ckpts>0) and, with\n"
       "DORADB_DATA_DIR set, deleted segment files (unlinked>0): %s\n",
       failed ? "FAILED" : "ok");
   BenchJson::Default().Emit("fig_restart_time");

@@ -44,18 +44,14 @@ void CheckpointCoordinator::DaemonLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     hb->SetStage("nap");
     hb->SetIdle(true);
-    NapMicros(options_.interval_us);
+    NapMicros(kPollIntervalUs);
     hb->SetIdle(false);
     if (stop_.load(std::memory_order_acquire)) return;
     hb->Beat();
     const std::optional<uint32_t> due = PickPartition();
     if (!due) continue;
     hb->SetStage("checkpoint");
-    if (options_.partition_local) {
-      (void)DoCheckpoint(*due, /*all_partitions=*/false);
-    } else {
-      (void)DoCheckpoint(kCheckpointAllPartitions, /*all_partitions=*/true);
-    }
+    (void)DoCheckpoint(*due, /*all_partitions=*/false);
     hb->Beat();
   }
 }
@@ -90,15 +86,7 @@ Status CheckpointCoordinator::CheckpointPartition(uint32_t partition) {
 }
 
 Status CheckpointCoordinator::CheckpointGlobal() {
-  return DoCheckpoint(kCheckpointAllPartitions, /*all_partitions=*/true);
-}
-
-Status CheckpointCoordinator::CheckpointAll() {
-  if (!options_.partition_local) return CheckpointGlobal();
-  for (uint32_t p = 0; p < log_->num_partitions(); ++p) {
-    DORADB_RETURN_NOT_OK(DoCheckpoint(p, /*all_partitions=*/false));
-  }
-  return Status::OK();
+  return DoCheckpoint(kGlobalCheckpointPartition, /*all_partitions=*/true);
 }
 
 Status CheckpointCoordinator::DoCheckpoint(uint32_t partition,
@@ -153,7 +141,7 @@ Status CheckpointCoordinator::DoCheckpoint(uint32_t partition,
   if (!all_partitions) log_->BindThisThread(partition);
   LogRecord rec;
   rec.type = LogType::kCheckpointPart;
-  rec.ckpt_partition = all_partitions ? kCheckpointAllPartitions : partition;
+  rec.ckpt_partition = all_partitions ? kGlobalCheckpointPartition : partition;
   rec.redo_horizon = horizon;
   rec.active_txns = std::move(active);
   const Lsn end = log_->Append(&rec);

@@ -65,16 +65,13 @@ class CheckpointCoordinator {
   struct Options {
     // Run the background daemon (manual Checkpoint* calls work either way).
     bool enabled = false;
-    // Poll period: how often the daemon asks PickPartition whether a
-    // visit is due. An idle system is polled but never visited.
-    uint64_t interval_us = 2000;
     // Reclaim each partition's stable log below the redo horizon.
     bool truncate = true;
-    // false: every visit flushes the whole pool and writes one global
-    // record — the pre-plog behaviour, kept for A/B benchmarking. The
-    // daemon runs a global round when any partition is due.
-    bool partition_local = true;
   };
+
+  // Daemon poll period: how often it asks PickPartition whether a visit
+  // is due. An idle system is polled but never visited.
+  static constexpr uint64_t kPollIntervalUs = 2000;
 
   struct Stats {
     uint64_t checkpoints = 0;    // kCheckpointPart records written
@@ -106,10 +103,6 @@ class CheckpointCoordinator {
   // all partitions, truncation of every stream.
   Status CheckpointGlobal();
 
-  // One full pass: every partition in partition-local mode, or one global
-  // checkpoint otherwise.
-  Status CheckpointAll();
-
   // The redo horizon of the most recent completed checkpoint.
   Lsn last_horizon() const {
     return last_horizon_.load(std::memory_order_acquire);
@@ -118,7 +111,6 @@ class CheckpointCoordinator {
   // Completed checkpoint visits per log partition (hot partitions should
   // show more visits).
   std::vector<uint64_t> partition_visits() const;
-  const Options& options() const { return options_; }
 
   // Catalog snapshot hook, run at the start of every checkpoint round
   // before a horizon is published: log truncation must never outrun the

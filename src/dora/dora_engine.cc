@@ -268,25 +268,12 @@ void DoraEngine::AckLoop(AckShard* shard, size_t idx) {
       const Lsn covered =
           durable.ok() ? max_gsn : db_->log_manager()->flushed_lsn();
       for (auto& ack : batch) {
-        Transaction* txn = ack.dtxn->txn();
         if (!durable.ok() && ack.gsn > covered) {
-          const Status s = db_->CommitIndeterminate(txn, durable);
-          ack.dtxn->Complete(s);
-          ack.dtxn->Unref();  // ack queue's reference
-          continue;
+          ack.dtxn->Complete(
+              db_->CommitIndeterminate(ack.dtxn->txn(), durable));
+        } else {
+          FinalizeDurable(ack.dtxn, /*acked_inline=*/false);
         }
-        obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
-        if (txn->logged_work()) {
-          pipelined_.fetch_add(1, std::memory_order_relaxed);
-        }
-        const Status s = db_->CommitFinalize(txn);
-        committed_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
-          Database::CommitLatencyHistogram()->Record(static_cast<uint64_t>(
-              Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
-        }
-        obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
-        ack.dtxn->Complete(s);
         ack.dtxn->Unref();  // ack queue's reference
       }
     }
@@ -458,12 +445,12 @@ void DoraEngine::FanOutCompletions(DoraTxn* dtxn) {
   }
 }
 
-void DoraEngine::FinalizeInline(DoraTxn* dtxn) {
+void DoraEngine::FinalizeDurable(DoraTxn* dtxn, bool acked_inline) {
   Transaction* txn = dtxn->txn();
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
   if (txn->logged_work()) {
     pipelined_.fetch_add(1, std::memory_order_relaxed);
-    acked_inline_.fetch_add(1, std::memory_order_relaxed);
+    if (acked_inline) acked_inline_.fetch_add(1, std::memory_order_relaxed);
   }
   const Status s = db_->CommitFinalize(txn);
   committed_.fetch_add(1, std::memory_order_relaxed);
@@ -516,7 +503,7 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn) {
     // now — finalize and complete the client on this executor instead of
     // round-tripping through the ack daemon.
     if (db_->log_manager()->flushed_lsn() >= commit_lsn) {
-      FinalizeInline(dtxn);
+      FinalizeDurable(dtxn, /*acked_inline=*/true);
       return;
     }
     QueueAck(dtxn, commit_lsn);

@@ -247,10 +247,11 @@ class DoraEngine {
   // ack queue of this thread's bound log partition. Takes the queue's
   // reference on the context.
   void QueueAck(DoraTxn* dtxn, Lsn lsn);
-  // Durable-now finalize for a pipelined commit acknowledged on the
-  // executor (no ack-daemon round trip): CommitFinalize + counters +
-  // latency histogram + client completion.
-  void FinalizeInline(DoraTxn* dtxn);
+  // Finalize a pipelined commit whose GSN the flush horizon covers:
+  // CommitFinalize + counters + latency histogram + client completion,
+  // with the kDurable and kAck trace stamps. `acked_inline` is true on
+  // the executor's inline-ack fast path, false on the ack daemon.
+  void FinalizeDurable(DoraTxn* dtxn, bool acked_inline);
 
   struct TableGroup {
     TableId table;

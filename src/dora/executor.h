@@ -50,20 +50,15 @@ class Executor {
   uint32_t index_in_table() const { return index_in_table_; }
   uint32_t global_index() const { return global_index_; }
 
-  // Lock-free inbox; push Action / CompletionMsg / StopMsg nodes.
-  MpscQueue& inbox() { return inbox_; }
-
-  // Preferred producer entry point: stamps the entry's enqueue timestamp
-  // and the depth accounting (metrics on), then pushes. Pushing to
-  // inbox() directly stays correct — such messages just don't feed the
-  // queue-wait histogram or the depth gauge.
+  // The only producer path into the lock-free inbox (Action /
+  // CompletionMsg / StopMsg nodes): stamps the entry's enqueue timestamp
+  // and the depth accounting (metrics on), then pushes.
   void PushToInbox(InboxEntry* entry);
 
   // --- stats ---
   uint64_t actions_executed() const {
     return actions_executed_.load(std::memory_order_relaxed);
   }
-  uint64_t local_lock_acquires() const { return locks_.acquires(); }
   uint64_t local_lock_conflicts() const { return locks_.conflicts(); }
   // Non-empty inbox drains and the messages they carried.
   uint64_t inbox_batches() const {
@@ -80,8 +75,8 @@ class Executor {
   }
   // Messages ever pushed via PushToInbox. pushed - items approximates the
   // live inbox depth (the per-executor load gauge the repartitioning
-  // roadmap item consumes); it undercounts by pushes that bypassed the
-  // wrapper and by the drained-but-unprocessed window, never below zero
+  // roadmap item consumes); it undercounts by pushes made while metrics
+  // were off and by the drained-but-unprocessed window, never below zero
   // after clamping.
   uint64_t inbox_pushed() const {
     return pushed_.load(std::memory_order_relaxed);

@@ -50,7 +50,6 @@ class LocalLockTable {
                       std::vector<Action*>* runnable);
 
   bool Empty() const { return holdings_.empty() && whole_.Free(); }
-  size_t num_held_transactions() const { return holdings_.size(); }
   size_t num_parked() const { return parked_; }
 
   uint64_t acquires() const { return acquires_; }

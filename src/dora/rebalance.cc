@@ -87,7 +87,6 @@ bool RebalanceController::DecideFromWindow(const obs::HeatmapWindow& w,
     // keys rows by global executor index).
     uint32_t hot = 0, cold = 0;
     double busy_hot = -1.0, busy_cold = 2.0;
-    uint64_t hot_qwait = 0;
     bool complete = true;
     for (uint32_t i = 0; i < n; ++i) {
       auto it = by_global.find(engine_->ExecutorAt(table, i)->global_index());
@@ -99,7 +98,6 @@ bool RebalanceController::DecideFromWindow(const obs::HeatmapWindow& w,
       if (busy > busy_hot) {
         busy_hot = busy;
         hot = i;
-        hot_qwait = it->second->queue_wait_p99_ns;
       }
       if (busy < busy_cold) {
         busy_cold = busy;
@@ -108,10 +106,6 @@ bool RebalanceController::DecideFromWindow(const obs::HeatmapWindow& w,
     }
     if (!complete || hot == cold) continue;
     if (busy_hot - busy_cold < options_.min_busy_gap) continue;
-    if (options_.min_qwait_p99_ns != 0 &&
-        hot_qwait < options_.min_qwait_p99_ns) {
-      continue;
-    }
 
     const RoutingTable* routing = engine_->routing_of(table);
     auto current = routing->Current();
@@ -198,16 +192,8 @@ bool RebalanceController::StepOnce() {
   const obs::HeatmapWindow w = heatmap().Latest();
   if (w.rows.empty() || w.seq <= last_seq_) return false;
   last_seq_ = w.seq;
-  if (options_.cooldown_ms != 0 && last_migration_ms_ != 0 &&
-      WallMs() - last_migration_ms_ <
-          static_cast<int64_t>(options_.cooldown_ms)) {
-    return false;
-  }
   Decision d;
-  if (!DecideFromWindow(w, &d)) return false;
-  if (!Apply(d).ok()) return false;
-  last_migration_ms_ = WallMs();
-  return true;
+  return DecideFromWindow(w, &d) && Apply(d).ok();
 }
 
 }  // namespace dora

@@ -44,13 +44,8 @@ class RebalanceController {
     // Minimum busy-fraction gap (hot - cold, in [0,1]) between two
     // executors of one table before a migration is considered.
     double min_busy_gap = 0.25;
-    // Extra gate: the hot executor's windowed queue-wait p99 must be at
-    // least this (0 = gate off). Filters "busy but keeping up".
-    uint64_t min_qwait_p99_ns = 0;
-    // Background-loop cadence and the minimum spacing between two
-    // migrations it performs.
+    // Background-loop cadence.
     uint64_t interval_ms = 100;
-    uint64_t cooldown_ms = 0;
     // Pull a LoadHeatmap::Sweep() before each decision, so the controller
     // works without the watchdog driving sweeps. Scripted tests Push()
     // windows instead and turn this off.
@@ -122,9 +117,8 @@ class RebalanceController {
   std::atomic<uint64_t> failed_{0};
 
   // StepOnce state: last heatmap seq acted on (a window is only decided
-  // once) and the wall time of the last migration (cooldown).
+  // once).
   uint64_t last_seq_ = 0;
-  int64_t last_migration_ms_ = 0;
   std::mutex step_mu_;  // serializes StepOnce (loop vs. explicit calls)
 
   std::mutex loop_mu_;

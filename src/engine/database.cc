@@ -97,7 +97,7 @@ Database::Database(Options options)
     // LSN before the dirty page may be stolen. A poisoned log stream makes
     // that impossible — report failure so the pool refuses the write-back.
     if (lsn == kInvalidLsn) return true;
-    return log_->FlushTo(lsn).ok();
+    return log_->WaitFlushed(lsn).ok();
   });
   // Dirty-page attribution for partition-local checkpoints: a logged write
   // belongs to the writer's bound log partition.

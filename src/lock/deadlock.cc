@@ -34,6 +34,21 @@ size_t ActiveTxnTable::Size() const {
   return n;
 }
 
+std::vector<TxnId> ActiveTxnTable::Snapshot(Lsn* min_undo_low) const {
+  std::vector<TxnId> out;
+  Lsn min_pin = ~Lsn{0};
+  for (const auto& s : shards_) {
+    TatasGuard g(s.lock, TimeClass::kLockOther);
+    for (const auto& [id, txn] : s.map) {
+      out.push_back(id);
+      const Lsn pin = txn->undo_low();
+      if (pin != kInvalidLsn && pin < min_pin) min_pin = pin;
+    }
+  }
+  *min_undo_low = min_pin;
+  return out;
+}
+
 bool DeadlockDetector::WouldDeadlock(TxnId self) const {
   ScopedTimeClass timer(TimeClass::kLockOther);
   // Iterative DFS; the graph is tiny (bounded by blocked transactions).

@@ -24,8 +24,9 @@ namespace doradb {
 
 class Transaction;
 
-// Sharded registry of active transactions, so the detector can resolve
-// TxnId -> Transaction* to read waits-for edges.
+// Sharded registry of active transactions: the detector resolves
+// TxnId -> Transaction* through it to read waits-for edges, and
+// checkpoints snapshot it (TxnManager::ActiveTxnSnapshot).
 class ActiveTxnTable {
  public:
   static constexpr size_t kShards = 64;
@@ -38,6 +39,9 @@ class ActiveTxnTable {
   // freed concurrently is never dereferenced after its unregistration.
   bool AppendWaitsFor(TxnId id, std::vector<TxnId>* out) const;
   size_t Size() const;
+  // The registered ids and their smallest undo-low pin (~0 when none has
+  // pinned), read one shard at a time under each shard's latch.
+  std::vector<TxnId> Snapshot(Lsn* min_undo_low) const;
 
  private:
   struct Shard {

@@ -69,6 +69,7 @@ class LockManager {
   // resolves TxnId -> Transaction* through this table).
   void RegisterTxn(Transaction* txn) { txns_.Register(txn); }
   void UnregisterTxn(TxnId id) { txns_.Unregister(id); }
+  const ActiveTxnTable& active_txns() const { return txns_; }
 
   // Acquire (or upgrade to) `mode` on an arbitrary resource.
   Status Lock(Transaction* txn, const LockId& id, LockMode mode);

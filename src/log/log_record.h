@@ -32,7 +32,7 @@ enum class LogType : uint8_t {
 
 // ckpt_partition value for a checkpoint record covering every partition
 // (the global Checkpoint() path).
-constexpr uint32_t kCheckpointAllPartitions = 0xFFFFFFFFu;
+constexpr uint32_t kGlobalCheckpointPartition = 0xFFFFFFFFu;
 
 struct LogRecord {
   LogType type = LogType::kBegin;
@@ -49,7 +49,7 @@ struct LogRecord {
   // kCheckpoint / kCheckpointPart: transactions active at checkpoint time.
   std::vector<TxnId> active_txns;
   // kCheckpointPart: which log partition this checkpoint belongs to
-  // (kCheckpointAllPartitions for a coordinator-driven global round), and
+  // (kGlobalCheckpointPartition for the manual global round), and
   // the redo horizon it vouches for — every record with lsn < redo_horizon
   // was reflected in the disk image when the checkpoint was taken, so
   // recovery may start redo there and the log may reclaim below it.

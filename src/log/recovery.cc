@@ -319,7 +319,7 @@ Status RecoveryDriver::UndoLosers() {
   // flush cannot complete — recovery's in-memory result is still correct
   // (the heaps are consistent), so surface the typed error rather than
   // pretend the recovered state is durable.
-  return log->FlushTo(log->current_lsn());
+  return log->WaitFlushed(log->current_lsn());
 }
 
 }  // namespace doradb

@@ -117,8 +117,6 @@ class LoadHeatmap {
     bool valid = false;
   };
 
-  HeatmapWindow LockedAssignSeq(HeatmapWindow w);
-
   const size_t capacity_;
   mutable std::mutex mu_;
   std::deque<HeatmapWindow> ring_;

@@ -1,14 +1,8 @@
 #include "obs/watchdog.h"
 
-#include <fcntl.h>
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -35,31 +29,10 @@ double AgeMs(uint64_t now_tsc, uint64_t then_tsc) {
   return Cycles::ToNanos(now_tsc - then_tsc) / 1e6;
 }
 
-// Fatal-signal flight recorder (DORADB_BLACKBOX_SIGNALS=1): the watchdog
-// tick pre-renders the thread table into this buffer and pre-opens the
-// crash file; the handler only write(2)s — async-signal-safe.
-constexpr size_t kCrashBufSize = 16384;
-char g_crash_buf[kCrashBufSize];
-std::atomic<size_t> g_crash_len{0};
-std::atomic<int> g_crash_fd{-1};
-
-void CrashHandler(int sig) {
-  const int fd = g_crash_fd.load(std::memory_order_relaxed);
-  if (fd >= 0) {
-    char head[64];
-    int n = snprintf(head, sizeof(head), "DORADB_BLACKBOX crash signal=%d\n",
-                     sig);
-    if (n > 0) {
-      ssize_t ignored = write(fd, head, static_cast<size_t>(n));
-      ignored = write(fd, g_crash_buf,
-                      g_crash_len.load(std::memory_order_relaxed));
-      (void)ignored;
-    }
-  }
-  // SA_RESETHAND restored the default disposition; re-raise so the
-  // process still dies with the original signal.
-  raise(sig);
-}
+// Minimum spacing between blackbox dumps while the engine stays
+// unhealthy, so a wedged engine leaves a handful of reports, not a disk
+// full of them.
+constexpr double kDumpMinGapMs = 5000;
 
 }  // namespace
 
@@ -93,7 +66,6 @@ void Watchdog::Retain(const Options& options) {
   options_ = options;  // last retainer's options win
   if (++retainers_ == 1) {
     stop_.store(false, std::memory_order_relaxed);
-    MaybeInstallSignalHandlers();
     thread_ = std::thread([this] { Loop(); });
   }
 }
@@ -277,7 +249,7 @@ void Watchdog::Loop() {
       if (!h.ok && !options_.dump_dir.empty()) {
         const double gap = AgeMs(Cycles::Now(), last_dump_tsc_);
         if (was_healthy_ || last_dump_tsc_ == 0 ||
-            gap > static_cast<double>(options_.dump_min_gap_ms)) {
+            gap > kDumpMinGapMs) {
           dump = true;
         }
       }
@@ -288,54 +260,8 @@ void Watchdog::Loop() {
       WriteBlackbox(h.complaints.empty() ? "stall" : h.complaints.front());
     }
 
-    // Keep the fatal-signal buffer fresh: thread table + verdict only
-    // (the handler must not allocate or lock).
-    if (g_crash_fd.load(std::memory_order_relaxed) >= 0) {
-      std::string snap = "== threads ==\n";
-      const uint64_t now = Cycles::Now();
-      for (const auto& r : Heartbeats::Default().Snapshot()) {
-        char buf[320];
-        snprintf(buf, sizeof(buf), "%-28s stage=%-14s idle=%d age_ms=%.1f\n",
-                 r.name.c_str(), r.stage, r.idle ? 1 : 0,
-                 AgeMs(now, r.last_beat_tsc));
-        snap += buf;
-      }
-      snap += h.ToJson();
-      snap.push_back('\n');
-      const size_t len = std::min(snap.size(), kCrashBufSize);
-      memcpy(g_crash_buf, snap.data(), len);
-      g_crash_len.store(len, std::memory_order_relaxed);
-    }
     hb->SetStage("nap");
   }
-}
-
-void Watchdog::MaybeInstallSignalHandlers() {
-  // Called under mu_ from the first Retain. Off by default: installing
-  // process-wide handlers from a library surprises embedders and test
-  // harnesses, so it is an explicit opt-in.
-  static bool installed = false;
-  if (installed) return;
-  const char* env = std::getenv("DORADB_BLACKBOX_SIGNALS");
-  if (env == nullptr || env[0] != '1') return;
-  installed = true;
-  if (!options_.dump_dir.empty()) {
-    const std::string dir = options_.dump_dir + "/blackbox";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (!ec) {
-      const int fd = open((dir + "/crash.txt").c_str(),
-                          O_CREAT | O_WRONLY | O_TRUNC, 0644);
-      if (fd >= 0) g_crash_fd.store(fd, std::memory_order_relaxed);
-    }
-  }
-  struct sigaction sa;
-  memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = CrashHandler;
-  sa.sa_flags = SA_RESETHAND;
-  sigaction(SIGSEGV, &sa, nullptr);
-  sigaction(SIGABRT, &sa, nullptr);
-  sigaction(SIGBUS, &sa, nullptr);
 }
 
 Watchdog& Watchdog::Default() {

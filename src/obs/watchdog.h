@@ -14,16 +14,14 @@
 // On a fresh unhealthy verdict it writes a black-box report to
 // `<dump_dir>/blackbox/` — the last heatmap windows, a full metrics
 // snapshot, the commit tracer's rings, and the per-thread stage table —
-// rate-limited by `dump_min_gap_ms` so a wedged engine leaves a handful
-// of reports, not a disk full of them. `/healthz` (obs_server.h) serves
-// Check()'s verdict live.
+// at most one every 5 s while the engine stays unhealthy, so a wedged
+// engine leaves a handful of reports, not a disk full of them.
+// `/healthz` (obs_server.h) serves Check()'s verdict live.
 //
 // The watchdog is process-wide and refcounted: every Database retains it
 // at construction (unless disabled by options) and releases it at
 // destruction; the thread runs while any retainer is alive, and the last
-// retainer's options win. With DORADB_BLACKBOX_SIGNALS=1 it also
-// installs fatal-signal handlers that write the most recent pre-rendered
-// thread table to `blackbox/crash.txt` via async-signal-safe write(2).
+// retainer's options win.
 
 #ifndef DORADB_OBS_WATCHDOG_H_
 #define DORADB_OBS_WATCHDOG_H_
@@ -46,7 +44,6 @@ class Watchdog {
     uint64_t interval_ms = 250;       // tick period (sweep + check)
     uint64_t stall_ms = 2000;         // silence/stuck threshold
     std::string dump_dir;             // blackbox under <dump_dir>/blackbox
-    uint64_t dump_min_gap_ms = 5000;  // min spacing between dumps
   };
 
   struct Health {
@@ -108,7 +105,6 @@ class Watchdog {
   };
 
   void Loop();
-  void MaybeInstallSignalHandlers();
 
   mutable std::mutex mu_;       // options, refcount, probes
   Options options_;

@@ -91,8 +91,6 @@ class PartitionedLogManager {
   // can never reach `lsn`: the record may or may not be on the platter,
   // but it must NOT be acknowledged as durable.
   Status WaitFlushed(Lsn lsn);
-  // Trigger + wait: used by the buffer pool's WAL rule before page steals.
-  Status FlushTo(Lsn lsn) { return WaitFlushed(lsn); }
   // Commit-pipelining wait: like WaitFlushed, but the caller vouches that
   // `lsn` lives in `partition_hint`, so only that partition is flushed
   // eagerly and the others' flushers advance the horizon on their own

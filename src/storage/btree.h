@@ -78,7 +78,6 @@ class KeyBuilder {
   }
   std::string Str() const { return std::string(View()); }
   size_t size() const { return len_; }
-  void Clear() { len_ = 0; }
 
  private:
   void Push(uint8_t b) {

@@ -42,7 +42,6 @@ class SlottedPage {
   Lsn page_lsn() const { return header()->base.page_lsn; }
   void set_page_lsn(Lsn lsn) { header()->base.page_lsn = lsn; }
   PageId next_page() const { return header()->next_page; }
-  void set_next_page(PageId p) { header()->next_page = p; }
   uint16_t slot_count() const { return header()->slot_count; }
   uint16_t record_count() const { return header()->record_count; }
 

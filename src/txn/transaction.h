@@ -57,7 +57,6 @@ class Transaction {
   void set_state(TxnState s) { state_ = s; }
 
   Lsn last_lsn() const { return last_lsn_; }
-  void set_last_lsn(Lsn lsn) { last_lsn_ = lsn; }
 
   // Cycle timestamp at Begin (TxnManager stamps it); the commit paths
   // derive the commit-latency histogram from it. 0 = never stamped.

@@ -7,8 +7,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "lock/lock_manager.h"
@@ -20,15 +18,15 @@ class TxnManager {
  public:
   explicit TxnManager(LockManager* lm) : lm_(lm) {}
 
-  // Start a transaction: allocate an id and register it with the lock
-  // manager's deadlock detector. No log record is written.
+  // Start a transaction: allocate an id and register it in the lock
+  // manager's active-transaction table, the one registry the deadlock
+  // detector and checkpoints both read. No log record is written.
   std::unique_ptr<Transaction> Begin();
 
   // Bookkeeping at transaction end (Database drives the full protocol).
-  void Finish(Transaction* txn);
+  void Finish(Transaction* txn) { lm_->UnregisterTxn(txn->id()); }
 
-  std::vector<TxnId> ActiveTxns() const;
-  size_t num_active() const;
+  size_t num_active() const { return lm_->active_txns().Size(); }
 
   // Fuzzy-checkpoint snapshot: the active ids plus the smallest undo-low
   // pin among them (~0 if no active transaction has logged heap work). A
@@ -39,7 +37,18 @@ class TxnManager {
   // records below the returned minimum. Transactions that never log heap
   // work (the DORA system transaction, pure readers) never pin, keeping
   // long-lived lock holders from freezing truncation.
-  std::vector<TxnId> ActiveTxnSnapshot(Lsn* min_undo_low) const;
+  //
+  // The table is read shard by shard, not atomically, and that suffices
+  // for a checkpoint, which reads its `begin_lsn` cap before calling this:
+  // a transaction registered before that read sits in one fixed shard (its
+  // id picks it) until it unregisters, so the scan sees it unless it
+  // unregisters first, and a transaction unregisters only after its last
+  // heap apply, leaving nothing for undo and its page changes to the dirty
+  // page scan. A transaction registered after the cap read pins, and logs,
+  // only above the cap, which bounds the horizon anyway.
+  std::vector<TxnId> ActiveTxnSnapshot(Lsn* min_undo_low) const {
+    return lm_->active_txns().Snapshot(min_undo_low);
+  }
 
   // Cold-start id resume: ensure every future id exceeds `txn_id`. A
   // reopened lifetime must not reissue an id that still has records
@@ -59,11 +68,6 @@ class TxnManager {
   LockManager* const lm_;
   std::atomic<TxnId> next_id_{1};
   std::atomic<uint64_t> started_{0};
-
-  mutable std::mutex mu_;
-  // Registered (active) transactions. Pointers stay valid: every path that
-  // ends a transaction calls Finish before the object can be destroyed.
-  std::unordered_map<TxnId, Transaction*> active_;
 };
 
 }  // namespace doradb

@@ -49,8 +49,6 @@ class Cycles {
     return static_cast<double>(cycles) / PerNanosecond();
   }
 
-  static double ToSeconds(uint64_t cycles) { return ToNanos(cycles) * 1e-9; }
-
  private:
   static double Calibrate() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -5,52 +5,10 @@
 #include <string.h>
 #include <unistd.h>
 
-#include <cstdlib>
-
 namespace doradb {
-
-namespace {
-
-FaultPlan PlanFromEnv() {
-  FaultPlan plan;
-  const char* op = std::getenv("DORADB_FAULT_OP");
-  if (op == nullptr || *op == '\0') return plan;
-  if (strcmp(op, "pwrite") == 0) {
-    plan.op = FaultOp::kPwrite;
-  } else if (strcmp(op, "fdatasync") == 0 || strcmp(op, "fsync") == 0) {
-    plan.op = FaultOp::kFdatasync;
-  } else if (strcmp(op, "open") == 0) {
-    plan.op = FaultOp::kOpen;
-  } else {
-    return plan;  // unknown op: stay disarmed rather than fault wrongly
-  }
-  plan.err = EIO;
-  if (const char* err = std::getenv("DORADB_FAULT_ERR")) {
-    if (strcmp(err, "enospc") == 0) plan.err = ENOSPC;
-  }
-  if (const char* nth = std::getenv("DORADB_FAULT_NTH")) {
-    const long long v = atoll(nth);
-    if (v > 0) plan.nth = static_cast<uint64_t>(v);
-  }
-  if (const char* sticky = std::getenv("DORADB_FAULT_STICKY")) {
-    plan.sticky = atoi(sticky) != 0;
-  }
-  if (const char* mode = std::getenv("DORADB_FAULT_MODE")) {
-    if (strcmp(mode, "short") == 0) plan.mode = FaultMode::kShortWrite;
-    if (strcmp(mode, "torn") == 0) plan.mode = FaultMode::kTorn;
-  }
-  if (const char* path = std::getenv("DORADB_FAULT_PATH")) {
-    plan.path_substr = path;
-  }
-  return plan;
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector() {
   for (auto& c : count_) c.store(0, std::memory_order_relaxed);
-  const FaultPlan env = PlanFromEnv();
-  if (env.op != FaultOp::kNone) Arm(env);
 }
 
 FaultInjector& FaultInjector::Default() {

@@ -21,14 +21,9 @@
 // `path_substr` (optional) restricts the fault to file paths containing
 // the substring, so a test can target the WAL but not the catalog.
 //
-// Configuration: programmatic (Arm/Reset, used by tests) or environment,
-// parsed once at first use — the chaos CI knobs:
-//   DORADB_FAULT_OP     pwrite | fdatasync | open
-//   DORADB_FAULT_ERR    eio | enospc  (default eio)
-//   DORADB_FAULT_NTH    N  (1-based occurrence; default 1)
-//   DORADB_FAULT_STICKY 1  (fault every occurrence >= Nth; default one-shot)
-//   DORADB_FAULT_MODE   error | short | torn  (pwrite only; default error)
-//   DORADB_FAULT_PATH   substring filter on the target path
+// Configuration is programmatic only (Arm/Reset); the engine reads no
+// environment. The bench rigs map the chaos CI's DORADB_FAULT_* variables
+// to a plan and arm it once per process (bench/bench_common.h).
 //
 // Determinism: occurrences are counted with a per-op atomic, so a
 // single-threaded test hits exactly the Nth call. Concurrent flushers make
@@ -63,8 +58,8 @@ struct FaultPlan {
 
 class FaultInjector {
  public:
-  // Process-wide instance, like obs::MetricsRegistry::Default(). Reads
-  // DORADB_FAULT_* once on first use.
+  // Process-wide instance, like obs::MetricsRegistry::Default(). Starts
+  // disarmed.
   static FaultInjector& Default();
 
   // Replace the armed plan (op = kNone disarms) and zero the occurrence

@@ -75,10 +75,6 @@ class RwLatch {
 
   void WriteUnlock() { state_.store(0, std::memory_order_release); }
 
-  bool HeldExclusive() const {
-    return (state_.load(std::memory_order_relaxed) & kWriterLocked) != 0;
-  }
-
  private:
   static constexpr uint32_t kWriterLocked = 1u;
   static constexpr uint32_t kWriterWaiting = 2u;

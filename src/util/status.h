@@ -80,14 +80,7 @@ class Status {
   bool IsBusy() const { return code_ == Code::kBusy; }
   bool IsFull() const { return code_ == Code::kFull; }
   bool IsCorruption() const { return code_ == Code::kCorruption; }
-  bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }
-
-  // True for any condition that must abort the enclosing transaction.
-  bool ForcesAbort() const {
-    return code_ == Code::kDeadlock || code_ == Code::kAborted ||
-           code_ == Code::kTimeout || code_ == Code::kCorruption;
-  }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }

@@ -25,10 +25,6 @@ void ThreadGroup::Spawn(size_t count, std::function<void(size_t)> body) {
   }
 }
 
-void ThreadGroup::SpawnOne(std::function<void()> body) {
-  threads_.emplace_back(std::move(body));
-}
-
 void ThreadGroup::Join() {
   for (auto& t : threads_) {
     if (t.joinable()) t.join();

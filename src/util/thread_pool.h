@@ -27,7 +27,6 @@ class ThreadGroup {
   ThreadGroup& operator=(const ThreadGroup&) = delete;
 
   void Spawn(size_t count, std::function<void(size_t)> body);
-  void SpawnOne(std::function<void()> body);
   void Join();
   size_t Size() const { return threads_.size(); }
 

@@ -403,7 +403,7 @@ TEST_P(SelfContainedKillLoopTest, CommittedStateSurvivesEveryLifetime) {
       std::string rec(16, '\7');
       ASSERT_TRUE(db.Update(loser.get(), t->id, row_rids[0], rec,
                             AccessOptions::Baseline()).ok());
-      db.log_manager()->FlushTo(db.log_manager()->current_lsn());
+      db.log_manager()->WaitFlushed(db.log_manager()->current_lsn());
       // Never committed: the next lifetime must roll it back.
     }
     db.SimulateKill();

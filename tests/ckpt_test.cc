@@ -64,7 +64,7 @@ TEST(CkptTest, PartitionCheckpointTruncatesItsStream) {
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
   CommitInserts(&db, table, 20, "r");
-  db.log_manager()->FlushTo(db.log_manager()->current_lsn());
+  db.log_manager()->WaitFlushed(db.log_manager()->current_lsn());
   const size_t before = db.log_manager()->stable_size();
   ASSERT_GT(before, 0u);
 
@@ -196,7 +196,6 @@ TEST(CkptTest, BackgroundDaemonRunsConcurrentlyWithWriters) {
   // the run must recover every acknowledged commit.
   Database::Options opts = PlogDb(/*parts=*/4);
   opts.checkpoint.enabled = true;
-  opts.checkpoint.interval_us = 200;
   // Small segments, so the 480 updates cross the daemon's trigger.
   opts.log_segment_bytes = 4096;
   Database db(opts);
@@ -582,7 +581,6 @@ TEST(CkptTest, DaemonWaitsForASegmentOfLog) {
   constexpr size_t kSegment = 16 << 10;
   Database::Options opts = PlogDb(/*parts=*/2);
   opts.checkpoint.enabled = true;
-  opts.checkpoint.interval_us = 200;
   opts.log_segment_bytes = kSegment;
   Database db(opts);
   db.log_manager()->BindThisThread(0);
@@ -690,7 +688,7 @@ TEST(CkptTest, GlobalCheckpointOnCentralBackendTruncates) {
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
   const std::vector<Rid> rids = CommitInserts(&db, table, 25, "c");
-  db.log_manager()->FlushTo(db.log_manager()->current_lsn());
+  db.log_manager()->WaitFlushed(db.log_manager()->current_lsn());
   const size_t before = db.log_manager()->stable_size();
 
   ASSERT_TRUE(db.Checkpoint().ok());
@@ -721,7 +719,7 @@ TEST(CkptTest, CrcDetectsCorruptedMiddleInPartitionStream) {
     rec.after = std::string(40, static_cast<char>('a' + i));
     log.Append(&rec);
   }
-  log.FlushTo(log.current_lsn());
+  log.WaitFlushed(log.current_lsn());
   ASSERT_EQ(log.ReadStable().size(), 8u);
 
   // Flip a byte deep inside the stream (record ~4 of 8): a length-field
@@ -744,7 +742,7 @@ TEST(CkptTest, CorruptedMiddleBoundsRecoveryNotJustTornTail) {
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
   const std::vector<Rid> rids = CommitInserts(&db, table, 12, "x");
-  db.log_manager()->FlushTo(db.log_manager()->current_lsn());
+  db.log_manager()->WaitFlushed(db.log_manager()->current_lsn());
 
   db.log_manager()->partition(0)->FlipStableByte(
       db.log_manager()->partition(0)->stable_size() * 3 / 4);

@@ -261,7 +261,8 @@ uint64_t HistCount(const MetricsSnapshot& snap, const std::string& name) {
 // One committed DORA transaction must show every lifecycle span, in order:
 // dispatch → enqueue → drain → execute → commit-append → durable → ack.
 // Parameterized over pipelined commit: the synchronous arm stamps durable
-// and ack in FinishTxn, the pipelined arm in FinalizeInline or AckLoop.
+// and ack in FinishTxn, the pipelined arm in FinalizeDurable (inline or on
+// the ack daemon).
 class CommitPathTraceTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {

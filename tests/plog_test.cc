@@ -66,7 +66,7 @@ TEST(PlogTest, ConcurrentBoundAppendersGetUniqueOrderedGsns) {
     });
   }
   for (auto& t : threads) t.join();
-  log.FlushTo(log.current_lsn());
+  log.WaitFlushed(log.current_lsn());
   const auto recs = log.ReadStable();
   ASSERT_EQ(recs.size(), static_cast<size_t>(kThreads * kPerThread));
   for (size_t i = 1; i < recs.size(); ++i) {
@@ -182,7 +182,7 @@ TEST(PlogFileTest, ReopenReplaysStableStreamAndAdvancesClock) {
       rec.after = "v" + std::to_string(i);
       max_gsn = log.Append(&rec);
     }
-    log.FlushTo(log.current_lsn());
+    log.WaitFlushed(log.current_lsn());
   }  // clean close: segment files + watermark headers on disk
 
   plog::PartitionedLogManager log{o};  // second lifetime
@@ -216,7 +216,7 @@ TEST(PlogFileTest, TornSegmentTailTruncatedOnReopen) {
     b.txn = 1;
     b.after = std::string(64, 'y');
     log.Append(&b);
-    log.FlushTo(log.current_lsn());
+    log.WaitFlushed(log.current_lsn());
     // The dead process's last write tears mid-record on the medium.
     log.partition(0)->TearStableTail(10);
     log.SimulateKill();
@@ -233,7 +233,7 @@ TEST(PlogFileTest, TornSegmentTailTruncatedOnReopen) {
   c.txn = 2;
   c.after = std::string(64, 'z');
   log.Append(&c);
-  log.FlushTo(log.current_lsn());
+  log.WaitFlushed(log.current_lsn());
   EXPECT_EQ(log.ReadStable().size(), 2u);
 }
 
@@ -282,7 +282,7 @@ TEST(PlogFileTest, DecodeErrorNamesSegmentFileAndOffset) {
     rec.after = std::string(40, static_cast<char>('a' + i));
     log.Append(&rec);
   }
-  log.FlushTo(log.current_lsn());
+  log.WaitFlushed(log.current_lsn());
   log.partition(0)->FlipStableByte(log.partition(0)->stable_size() / 2);
   Status tail;
   const auto recs = log.partition(0)->ReadStable(&tail);
@@ -304,7 +304,7 @@ TEST(PlogFileTest, MemoryDecodeErrorStillReportsOffset) {
     rec.after = std::string(40, 'm');
     log.Append(&rec);
   }
-  log.FlushTo(log.current_lsn());
+  log.WaitFlushed(log.current_lsn());
   log.partition(0)->FlipStableByte(log.partition(0)->stable_size() / 2);
   Status tail;
   (void)log.partition(0)->ReadStable(&tail);
@@ -333,7 +333,7 @@ TEST(PlogFileTest, SegmentsRollAndCheckpointTruncationUnlinksThem) {
     ASSERT_TRUE(db.Commit(txn.get()).ok());
     rids.push_back(rid);
   }
-  db.log_manager()->FlushTo(db.log_manager()->current_lsn());
+  db.log_manager()->WaitFlushed(db.log_manager()->current_lsn());
   const size_t files_before = db.log_manager()->segment_files();
   ASSERT_GT(files_before, 2u) << "small segments must have rolled";
 
@@ -483,7 +483,7 @@ TEST_F(PlogRecoveryTest, LoserSpanningPartitionsRolledBack) {
   Rid loser_rid;
   ASSERT_TRUE(db_.Insert(loser.get(), table_, "loser-insert", &loser_rid,
                          AccessOptions::Baseline()).ok());
-  db_.log_manager()->FlushTo(db_.log_manager()->current_lsn());
+  db_.log_manager()->WaitFlushed(db_.log_manager()->current_lsn());
   db_.SimulateCrash();
 
   ASSERT_TRUE(db_.Recover(nullptr).ok());

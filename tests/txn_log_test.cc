@@ -2,6 +2,7 @@
 // abort rollback (heap and index), ghost deletes, CLRs, crash recovery with
 // winners and losers, and log-record serialization.
 
+#include <algorithm>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -156,7 +157,7 @@ TEST(OnePartitionLogTest, ConcurrentAppendersKeepRecordsIntact) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(log.partition(0)->appends(),
             static_cast<uint64_t>(kThreads * kPerThread));
-  log.FlushTo(log.current_lsn());
+  log.WaitFlushed(log.current_lsn());
   const auto recs = log.ReadStable();
   EXPECT_EQ(recs.size(), static_cast<size_t>(kThreads * kPerThread));
   for (const auto& r : recs) {
@@ -185,6 +186,43 @@ class TxnTest : public ::testing::Test {
   TableId table_;
   IndexId index_;
 };
+
+// The active-transaction table the checkpoint snapshots is the lock
+// manager's sharded one: num_active and the minimum undo-low pin must
+// follow begin -> pin -> finish, across more transactions than shards.
+TEST(ActiveTxnTest, SnapshotTracksBeginPinFinish) {
+  LockManager lm;
+  TxnManager tm(&lm);
+  constexpr size_t kTxns = ActiveTxnTable::kShards + 6;
+  std::vector<std::unique_ptr<Transaction>> txns;
+  for (size_t i = 0; i < kTxns; ++i) txns.push_back(tm.Begin());
+  EXPECT_EQ(tm.num_active(), kTxns);
+  Lsn min_pin = 0;
+  EXPECT_EQ(tm.ActiveTxnSnapshot(&min_pin).size(), kTxns);
+  EXPECT_EQ(min_pin, ~Lsn{0}) << "no transaction has pinned yet";
+
+  // Pins in distinct shards; the snapshot reports the smallest.
+  txns[3]->PinUndoLow(500);
+  txns[40]->PinUndoLow(300);
+  txns[kTxns - 1]->PinUndoLow(700);
+  tm.ActiveTxnSnapshot(&min_pin);
+  EXPECT_EQ(min_pin, 300u);
+
+  // Finishing the minimum's owner releases its pin.
+  tm.Finish(txns[40].get());
+  std::vector<TxnId> ids = tm.ActiveTxnSnapshot(&min_pin);
+  EXPECT_EQ(min_pin, 500u);
+  EXPECT_EQ(ids.size(), kTxns - 1);
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), txns[40]->id()), 0);
+  EXPECT_EQ(tm.num_active(), kTxns - 1);
+
+  for (size_t i = 0; i < kTxns; ++i) {
+    if (i != 40) tm.Finish(txns[i].get());
+  }
+  EXPECT_EQ(tm.num_active(), 0u);
+  EXPECT_TRUE(tm.ActiveTxnSnapshot(&min_pin).empty());
+  EXPECT_EQ(min_pin, ~Lsn{0});
+}
 
 TEST_F(TxnTest, CommitMakesChangesVisible) {
   auto txn = db_.Begin();
@@ -374,7 +412,7 @@ TEST_F(RecoveryTest, UncommittedRolledBackOnRestart) {
   Rid loser_rid;
   ASSERT_TRUE(db_.Insert(loser.get(), table_, "loser-insert", &loser_rid,
                          AccessOptions::Baseline()).ok());
-  db_.log_manager()->FlushTo(db_.log_manager()->current_lsn());
+  db_.log_manager()->WaitFlushed(db_.log_manager()->current_lsn());
   db_.SimulateCrash();
 
   ASSERT_TRUE(db_.Recover(nullptr).ok());
@@ -410,7 +448,7 @@ TEST_F(RecoveryTest, UncommittedDeleteNotApplied) {
   auto txn = db_.Begin();
   ASSERT_TRUE(db_.Delete(txn.get(), table_, rid,
                          AccessOptions::Baseline()).ok());
-  db_.log_manager()->FlushTo(db_.log_manager()->current_lsn());
+  db_.log_manager()->WaitFlushed(db_.log_manager()->current_lsn());
   db_.SimulateCrash();
   ASSERT_TRUE(db_.Recover(nullptr).ok());
   std::string out;
@@ -432,7 +470,7 @@ TEST_F(RecoveryTest, UnflushedCommitIsLost) {
   ASSERT_TRUE(db_.Update(txn.get(), table_, rid, "newer",
                          AccessOptions::Baseline()).ok());
   // Flush the update but NOT any commit record; then crash.
-  db_.log_manager()->FlushTo(db_.log_manager()->current_lsn());
+  db_.log_manager()->WaitFlushed(db_.log_manager()->current_lsn());
   db_.SimulateCrash();
   ASSERT_TRUE(db_.Recover(nullptr).ok());
   std::string out;
