@@ -19,8 +19,6 @@ Executor::Executor(DoraEngine* engine, Database* db, TableId table,
       global_index_(global_index),
       batch_size_hist_(obs::MetricsRegistry::Default().GetHistogram(
           "dora.inbox.batch_size", "msgs")),
-      drain_wait_hist_(obs::MetricsRegistry::Default().GetHistogram(
-          "dora.inbox.drain_wait_ns", "ns")),
       queue_wait_hist_(obs::MetricsRegistry::Default().GetHistogram(
           "dora.exec." + std::to_string(global_index) + ".queue_wait_ns",
           "ns")),
@@ -159,7 +157,6 @@ void Executor::Classify(MpscNode* chain) {
         if (now > oldest_tsc) {
           const uint64_t wait_ns =
               static_cast<uint64_t>(Cycles::ToNanos(now - oldest_tsc));
-          drain_wait_hist_->Record(wait_ns);
           queue_wait_hist_->Record(wait_ns);  // per-executor skew signal
         }
       }

@@ -147,11 +147,11 @@ class Executor {
   // thread writes through it; the watchdog reads via table snapshots.
   obs::Heartbeats::Handle* hb_ = nullptr;
 
-  // Registry-owned instrumentation, shared across executors (resolved once
-  // at construction; hot paths record through the cached pointers gated on
-  // obs::MetricsEnabled()).
+  // Registry-owned instrumentation (resolved once at construction; hot
+  // paths record through the cached pointers gated on
+  // obs::MetricsEnabled()). The queue-wait histogram is this executor's
+  // own; the others are shared across executors.
   Histogram* batch_size_hist_;      // dora.inbox.batch_size
-  Histogram* drain_wait_hist_;      // dora.inbox.drain_wait_ns
   Histogram* queue_wait_hist_;      // dora.exec.<g>.queue_wait_ns
   obs::Counter* ticket_deferred_;   // dora.tickets.deferred
 };

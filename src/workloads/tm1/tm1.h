@@ -127,26 +127,48 @@ class Tm1Workload : public Workload {
   Status CheckConsistency();
 
  private:
-  // Baseline transaction bodies (conventional, hierarchical locking).
-  Status BaseGetSubscriberData(Rng& rng);
-  Status BaseGetNewDestination(Rng& rng);
-  Status BaseGetAccessData(Rng& rng);
-  Status BaseUpdateSubscriberData(Rng& rng);
-  Status BaseUpdateLocation(Rng& rng);
-  Status BaseInsertCallForwarding(Rng& rng);
-  Status BaseDeleteCallForwarding(Rng& rng);
+  // One transaction's inputs; each type fills the fields it uses. Drawn by
+  // MakeInput before either engine's body runs, so that both engines
+  // consume the same random stream.
+  struct Input {
+    uint64_t s_id;
+    uint8_t ai_type;     // GetAccessData
+    uint8_t sf_type;     // SpecialFacility / CallForwarding types
+    uint8_t start_time;  // CallForwarding types
+    uint8_t end_time;    // GetNewDestination, InsertCallForwarding
+    uint8_t bit;         // UpdateSubscriberData: new bit_1
+    uint8_t data_a;      // UpdateSubscriberData: new SpecialFacility.data_a
+    uint32_t vlr;        // UpdateLocation: new vlr_location
+    char sub_nbr[16];    // UpdateLocation: the subscriber's number
+  };
+  Input MakeInput(uint32_t type, Rng& rng) const;
+
+  // Row-level steps, shared by both engines' bodies (workload.h).
+  Status ReadSubscriber(Transaction* txn, const CcSet& cc, uint64_t s_id);
+  Status ReadAccessInfo(Transaction* txn, const CcSet& cc, const Input& in);
+  Status ReadSpecialFacility(Transaction* txn, const CcSet& cc,
+                             const Input& in, SpecialFacilityRow* sf);
+  // NotFound unless one of (s_id, sf_type)'s call forwardings covers the
+  // input's [start_time, end_time].
+  Status FindDestination(Transaction* txn, const CcSet& cc, const Input& in);
+  Status SetSubscriberBit(Transaction* txn, const CcSet& cc, const Input& in);
+  Status SetFacilityData(Transaction* txn, const CcSet& cc, const Input& in);
+  // `ie` is the sub_nbr index entry: the row's rid, and its s_id in aux.
+  Status SetLocation(Transaction* txn, const CcSet& cc, const IndexEntry& ie,
+                     uint32_t vlr);
+  Status InsertCallForwarding(Transaction* txn, const CcSet& cc,
+                              const Input& in);
+  Status DeleteCallForwarding(Transaction* txn, const CcSet& cc,
+                              const Input& in);
+  // The secondary sub_nbr index probe (§4.2.2): Baseline runs it inside
+  // the transaction, DORA on the dispatcher.
+  Status ProbeSubNbr(const Input& in, IndexEntry* ie);
 
   // DORA flow graphs.
-  Status DoraGetSubscriberData(dora::DoraEngine* e, Rng& rng);
-  Status DoraGetNewDestination(dora::DoraEngine* e, Rng& rng);
-  Status DoraGetAccessData(dora::DoraEngine* e, Rng& rng);
-  Status DoraUpdateSubscriberData(dora::DoraEngine* e, Rng& rng);
-  Status DoraUpdateLocation(dora::DoraEngine* e, Rng& rng);
-  Status DoraInsertCallForwarding(dora::DoraEngine* e, Rng& rng);
-  Status DoraDeleteCallForwarding(dora::DoraEngine* e, Rng& rng);
-
-  // Commit on OK; abort (rolling back) on failure, preserving the status.
-  Status FinishBaseline(Transaction* txn, Status s);
+  Status DoraGetNewDestination(dora::DoraEngine* e, const Input& in);
+  Status DoraUpdateSubscriberData(dora::DoraEngine* e, const Input& in);
+  Status DoraUpdateLocation(dora::DoraEngine* e, const Input& in);
+  Status DoraInsertCallForwarding(dora::DoraEngine* e, const Input& in);
 
   uint64_t RandomSid(Rng& rng) const {
     // ZipfGenerator::Next reads only ctor-computed members, so one shared

@@ -113,32 +113,5 @@ uint32_t Tm1Workload::PickTxnType(Rng& rng) const {
   return kDeleteCallForwarding;
 }
 
-Status Tm1Workload::RunBaseline(uint32_t type, Rng& rng) {
-  switch (type) {
-    case kGetSubscriberData: return BaseGetSubscriberData(rng);
-    case kGetNewDestination: return BaseGetNewDestination(rng);
-    case kGetAccessData: return BaseGetAccessData(rng);
-    case kUpdateSubscriberData: return BaseUpdateSubscriberData(rng);
-    case kUpdateLocation: return BaseUpdateLocation(rng);
-    case kInsertCallForwarding: return BaseInsertCallForwarding(rng);
-    case kDeleteCallForwarding: return BaseDeleteCallForwarding(rng);
-  }
-  return Status::InvalidArgument("bad txn type");
-}
-
-Status Tm1Workload::RunDora(dora::DoraEngine* engine, uint32_t type,
-                            Rng& rng) {
-  switch (type) {
-    case kGetSubscriberData: return DoraGetSubscriberData(engine, rng);
-    case kGetNewDestination: return DoraGetNewDestination(engine, rng);
-    case kGetAccessData: return DoraGetAccessData(engine, rng);
-    case kUpdateSubscriberData: return DoraUpdateSubscriberData(engine, rng);
-    case kUpdateLocation: return DoraUpdateLocation(engine, rng);
-    case kInsertCallForwarding: return DoraInsertCallForwarding(engine, rng);
-    case kDeleteCallForwarding: return DoraDeleteCallForwarding(engine, rng);
-  }
-  return Status::InvalidArgument("bad txn type");
-}
-
 }  // namespace tm1
 }  // namespace doradb

@@ -114,6 +114,12 @@ class TpcbWorkload : public Workload {
   };
   Input MakeInput(Rng& rng) const;
 
+  // Row-level steps, shared by both engines' bodies (workload.h).
+  Status UpdateAccount(Transaction* txn, const CcSet& cc, const Input& in);
+  Status UpdateTeller(Transaction* txn, const CcSet& cc, const Input& in);
+  Status UpdateBranch(Transaction* txn, const CcSet& cc, const Input& in);
+  Status InsertHistory(Transaction* txn, const CcSet& cc, const Input& in);
+
   Database* const db_;
   const Config config_;
   Schema schema_;

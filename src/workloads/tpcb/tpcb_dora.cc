@@ -1,12 +1,10 @@
+// DORA execution of the TPC-B AccountUpdate: the Baseline's steps
+// (tpcb_steps.cc) under kDoraCc, one action per table.
+
 #include "workloads/tpcb/tpcb.h"
 
 namespace doradb {
 namespace tpcb {
-
-namespace {
-constexpr AccessOptions kNoCc = AccessOptions{false, false};
-constexpr AccessOptions kRid = AccessOptions{false, true};
-}  // namespace
 
 void TpcbWorkload::SetupDora(dora::DoraEngine* engine) {
   engine->RegisterTable(schema_.branch, config_.branches + 1,
@@ -29,58 +27,21 @@ Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
   // row is built from transaction inputs alone, unlike TPC-C Payment).
   g.AddPhase()
       .AddAction(schema_.account, in.a_id, dora::LocalMode::kX,
-                 [this, in](dora::ActionEnv& env) -> Status {
-                   IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(
-                       env.db->catalog()->Index(schema_.account_pk)->Probe(
-                           Schema::Key(in.a_id), &ie));
-                   std::string bytes;
-                   DORADB_RETURN_NOT_OK(env.db->Read(
-                       env.txn, schema_.account, ie.rid, &bytes, kNoCc));
-                   auto acc = FromBytes<AccountRow>(bytes);
-                   acc.balance += in.delta;
-                   return env.db->Update(env.txn, schema_.account, ie.rid,
-                                         AsBytes(acc), kNoCc);
+                 [this, in](dora::ActionEnv& env) {
+                   return UpdateAccount(env.txn, kDoraCc, in);
                  })
       .AddAction(schema_.teller, in.t_id, dora::LocalMode::kX,
-                 [this, in](dora::ActionEnv& env) -> Status {
-                   IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(
-                       env.db->catalog()->Index(schema_.teller_pk)->Probe(
-                           Schema::Key(in.t_id), &ie));
-                   std::string bytes;
-                   DORADB_RETURN_NOT_OK(env.db->Read(
-                       env.txn, schema_.teller, ie.rid, &bytes, kNoCc));
-                   auto tel = FromBytes<TellerRow>(bytes);
-                   tel.balance += in.delta;
-                   return env.db->Update(env.txn, schema_.teller, ie.rid,
-                                         AsBytes(tel), kNoCc);
+                 [this, in](dora::ActionEnv& env) {
+                   return UpdateTeller(env.txn, kDoraCc, in);
                  })
       .AddAction(schema_.branch, in.b_id, dora::LocalMode::kX,
-                 [this, in](dora::ActionEnv& env) -> Status {
-                   IndexEntry ie;
-                   DORADB_RETURN_NOT_OK(
-                       env.db->catalog()->Index(schema_.branch_pk)->Probe(
-                           Schema::Key(in.b_id), &ie));
-                   std::string bytes;
-                   DORADB_RETURN_NOT_OK(env.db->Read(
-                       env.txn, schema_.branch, ie.rid, &bytes, kNoCc));
-                   auto br = FromBytes<BranchRow>(bytes);
-                   br.balance += in.delta;
-                   return env.db->Update(env.txn, schema_.branch, ie.rid,
-                                         AsBytes(br), kNoCc);
+                 [this, in](dora::ActionEnv& env) {
+                   return UpdateBranch(env.txn, kDoraCc, in);
                  })
+      // The insert takes only the centralized RID lock (§4.2.1).
       .AddAction(schema_.history, in.b_id, dora::LocalMode::kX,
-                 [this, in](dora::ActionEnv& env) -> Status {
-                   HistoryRow h{};
-                   h.a_id = in.a_id;
-                   h.t_id = in.t_id;
-                   h.b_id = in.b_id;
-                   h.delta = in.delta;
-                   Rid rid;
-                   // Insert takes only the centralized RID lock (§4.2.1).
-                   return env.db->Insert(env.txn, schema_.history, AsBytes(h),
-                                         &rid, kRid);
+                 [this, in](dora::ActionEnv& env) {
+                   return InsertHistory(env.txn, kDoraCc, in);
                  });
   return e->Run(dtxn, std::move(g));
 }

@@ -196,17 +196,89 @@ class TpccWorkload : public Workload {
     char last[17];
     uint32_t c_id;
   };
+  struct DeliveryInput {
+    uint32_t w_id;
+    uint32_t carrier;
+  };
+  struct StockLevelInput {
+    uint32_t w_id;
+    uint8_t d_id;
+    int32_t threshold;
+  };
 
   PaymentInput MakePaymentInput(Rng& rng) const;
   NewOrderInput MakeNewOrderInput(Rng& rng) const;
   OrderStatusInput MakeOrderStatusInput(Rng& rng) const;
+  DeliveryInput MakeDeliveryInput(Rng& rng) const;
+  StockLevelInput MakeStockLevelInput(Rng& rng) const;
 
-  // Shared helpers (engine-agnostic; locking controlled by opts).
+  // Index-only lookups (no record access). LastOrderOf: the customer's
+  // newest order. OldestNewOrder: the district's oldest undelivered order
+  // (kNotFound if it has none).
+  Status LastOrderOf(uint32_t w, uint8_t d, uint32_t c, uint32_t* o_id);
+  Status OldestNewOrder(uint32_t w, uint8_t d, uint32_t* o_id);
+
+  // Row-level steps, shared by both engines' bodies (workload.h).
+  // Customer by id, or by last name (the middle match, spec 2.5.2.2).
   Status ResolveCustomer(Transaction* txn, uint32_t w, uint8_t d,
                          bool by_name, const char* last, uint32_t c_id,
                          const AccessOptions& opts, Rid* rid,
                          CustomerRow* row);
-  Status LastOrderOf(uint32_t w, uint8_t d, uint32_t c, uint32_t* o_id);
+  // Payment.
+  Status PayWarehouse(Transaction* txn, const CcSet& cc,
+                      const PaymentInput& in);
+  Status PayDistrict(Transaction* txn, const CcSet& cc,
+                     const PaymentInput& in);
+  Status PayCustomer(Transaction* txn, const CcSet& cc,
+                     const PaymentInput& in, uint32_t* c_id);
+  Status InsertHistory(Transaction* txn, const CcSet& cc,
+                       const PaymentInput& in, uint32_t c_id);
+  // NewOrder.
+  Status ReadWarehouse(Transaction* txn, const CcSet& cc,
+                       const NewOrderInput& in);
+  Status ReadCustomer(Transaction* txn, const CcSet& cc,
+                      const NewOrderInput& in);
+  Status NextOrderId(Transaction* txn, const CcSet& cc,
+                     const NewOrderInput& in, uint32_t* o_id);
+  // kAborted for an invalid item (the spec's 1% rollback).
+  Status ReadItemPrice(Transaction* txn, const CcSet& cc, uint32_t i_id,
+                       int64_t* price);
+  Status UpdateStock(Transaction* txn, const CcSet& cc,
+                     const NewOrderInput& in, uint8_t line);
+  Status InsertOrder(Transaction* txn, const CcSet& cc,
+                     const NewOrderInput& in, uint32_t o_id);
+  Status InsertNewOrder(Transaction* txn, const CcSet& cc,
+                        const NewOrderInput& in, uint32_t o_id);
+  Status InsertOrderLine(Transaction* txn, const CcSet& cc,
+                         const NewOrderInput& in, uint32_t o_id,
+                         uint8_t line, int64_t price);
+  // OrderStatus and StockLevel. ReadOrder fails with kCorruption when the
+  // ol_pk index holds other than the order's ol_cnt lines; ReadOrderLines
+  // appends each line's i_id to `items` when given.
+  Status ReadOrder(Transaction* txn, const CcSet& cc, uint32_t w, uint8_t d,
+                   uint32_t o_id);
+  Status ReadOrderLines(Transaction* txn, const CcSet& cc, uint32_t w,
+                        uint8_t d, uint32_t o_id,
+                        std::vector<uint32_t>* items);
+  Status ReadNextOrderId(Transaction* txn, const CcSet& cc,
+                         const StockLevelInput& in, uint32_t* next_o);
+  // The distinct items of the district's last 20 orders, sorted.
+  Status RecentItems(Transaction* txn, const CcSet& cc,
+                     const StockLevelInput& in, uint32_t next_o,
+                     std::vector<uint32_t>* items);
+  Status CountLowStock(Transaction* txn, const CcSet& cc,
+                       const StockLevelInput& in,
+                       const std::vector<uint32_t>& items, int* low);
+  // Delivery. StampOrder reports the order's customer when `c_id` is
+  // given; CreditCustomer updates a row ResolveCustomer read with cc.rmw.
+  Status DeleteNewOrder(Transaction* txn, const CcSet& cc, uint32_t w,
+                        uint8_t d, uint32_t o_id);
+  Status StampOrder(Transaction* txn, const CcSet& cc, uint32_t w, uint8_t d,
+                    uint32_t o_id, uint32_t carrier, uint32_t* c_id);
+  Status DeliverOrderLines(Transaction* txn, const CcSet& cc, uint32_t w,
+                           uint8_t d, uint32_t o_id, int64_t* total);
+  Status CreditCustomer(Transaction* txn, const CcSet& cc, const Rid& rid,
+                        CustomerRow cu, int64_t total);
 
   Status BasePayment(Rng& rng);
   Status BaseNewOrder(Rng& rng);
@@ -218,10 +290,6 @@ class TpccWorkload : public Workload {
   Status DoraOrderStatus(dora::DoraEngine* e, Rng& rng);
   Status DoraDelivery(dora::DoraEngine* e, Rng& rng);
   Status DoraStockLevel(dora::DoraEngine* e, Rng& rng);
-
-  // Oldest undelivered order of a district (min o_id in new_order), via
-  // the no_pk index. kNotFound if the district has no pending orders.
-  Status OldestNewOrder(uint32_t w, uint8_t d, uint32_t* o_id);
 
   uint32_t MaxNameNum() const {
     return config_.customers_per_district < 1000

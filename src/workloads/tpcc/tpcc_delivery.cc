@@ -1,5 +1,6 @@
 // TPC-C Delivery and StockLevel — the remaining two transactions of the
-// full mix (deferred-execution and read-heavy decision-support styles).
+// full mix (deferred-execution and read-heavy decision-support styles) —
+// on both engines, as their steps (tpcc_steps.cc) in each engine's order.
 //
 // Both DORA variants span several phases while holding earlier-phase local
 // locks, so they can form cross-graph waits with NewOrder/OrderStatus; the
@@ -12,121 +13,42 @@
 namespace doradb {
 namespace tpcc {
 
-namespace {
-constexpr AccessOptions kCc = AccessOptions{true, false};
-constexpr AccessOptions kForUpdate = AccessOptions{true, false, true};
-constexpr AccessOptions kNoCc = AccessOptions{false, false};
-constexpr AccessOptions kRid = AccessOptions{false, true};
-}  // namespace
-
-Status TpccWorkload::OldestNewOrder(uint32_t w, uint8_t d, uint32_t* o_id) {
-  // no_pk keys are (w, d, o) big-endian: the first entry in the prefix
-  // range is the minimum order id.
-  bool found = false;
-  KeyBuilder prefix;
-  prefix.Add32(w).Add8(d);
-  DORADB_RETURN_NOT_OK(
-      db_->catalog()
-          ->Index(schema_.no_pk)
-          ->ScanPrefix(prefix.View(),
-                       [&](std::string_view key, const IndexEntry&) {
-                         uint32_t o = 0;
-                         for (int i = 0; i < 4; ++i) {
-                           o = (o << 8) |
-                               static_cast<uint8_t>(key[key.size() - 4 + i]);
-                         }
-                         *o_id = o;
-                         found = true;
-                         return false;  // first = oldest
-                       }));
-  return found ? Status::OK() : Status::NotFound("no pending orders");
-}
-
 // ------------------------------------------------------------- Delivery
 
 Status TpccWorkload::BaseDelivery(Rng& rng) {
-  const uint32_t w_id =
-      static_cast<uint32_t>(rng.UniformInt(uint64_t{1}, config_.warehouses));
-  const uint32_t carrier =
-      static_cast<uint32_t>(rng.UniformInt(uint64_t{1}, uint64_t{10}));
-  auto txn = db_->Begin();
-  Status s = [&]() -> Status {
-    ScopedTimeClass work(TimeClass::kWork);
-    Catalog* cat = db_->catalog();
+  const DeliveryInput in = MakeDeliveryInput(rng);
+  return RunInTxn(db_, [&](Transaction* txn) -> Status {
+    const CcSet& cc = kBaselineCc;
     for (uint8_t d = 1; d <= config_.districts; ++d) {
       uint32_t o_id;
-      if (OldestNewOrder(w_id, d, &o_id).IsNotFound()) continue;  // skip
-      // Consume the NewOrder row.
-      IndexEntry no_ie;
-      DORADB_RETURN_NOT_OK(cat->Index(schema_.no_pk)
-                               ->Probe(Schema::NoKey(w_id, d, o_id), &no_ie));
-      DORADB_RETURN_NOT_OK(
-          db_->Delete(txn.get(), schema_.new_order, no_ie.rid, kCc));
-      DORADB_RETURN_NOT_OK(db_->IndexRemove(txn.get(), schema_.no_pk,
-                                            Schema::NoKey(w_id, d, o_id),
-                                            no_ie.rid, w_id));
+      if (OldestNewOrder(in.w_id, d, &o_id).IsNotFound()) continue;  // skip
+      DORADB_RETURN_NOT_OK(DeleteNewOrder(txn, cc, in.w_id, d, o_id));
       // The order's customer is locked before the order, the order every
       // Baseline transaction follows (OrderStatus reads customer, then
       // order). Its c_id is read without a lock: the new_order X lock
       // above excludes the only other writer of this order, and the
       // NewOrder that inserted it has committed.
-      IndexEntry or_ie;
-      DORADB_RETURN_NOT_OK(cat->Index(schema_.or_pk)
-                               ->Probe(Schema::OrKey(w_id, d, o_id), &or_ie));
-      std::string bytes;
+      OrderRow ord{};
+      DORADB_RETURN_NOT_OK(ProbeRead(db_, txn, AccessOptions::NoCc(),
+                                     schema_.order, schema_.or_pk,
+                                     Schema::OrKey(in.w_id, d, o_id), &ord));
+      Rid c_rid;
+      CustomerRow cu;
+      DORADB_RETURN_NOT_OK(ResolveCustomer(txn, in.w_id, d, false, nullptr,
+                                           ord.c_id, cc.rmw, &c_rid, &cu));
       DORADB_RETURN_NOT_OK(
-          db_->Read(txn.get(), schema_.order, or_ie.rid, &bytes, kNoCc));
-      const uint32_t c_id = FromBytes<OrderRow>(bytes).c_id;
-      IndexEntry cu_ie;
-      DORADB_RETURN_NOT_OK(cat->Index(schema_.cu_pk)
-                               ->Probe(Schema::CuKey(w_id, d, c_id), &cu_ie));
-      DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.customer, cu_ie.rid,
-                                     &bytes, kForUpdate));
-      auto cu = FromBytes<CustomerRow>(bytes);
-      // Stamp the carrier on the order.
-      DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.order, or_ie.rid,
-                                     &bytes, kForUpdate));
-      auto ord = FromBytes<OrderRow>(bytes);
-      ord.carrier_id = carrier;
+          StampOrder(txn, cc, in.w_id, d, o_id, in.carrier, nullptr));
+      int64_t total;
       DORADB_RETURN_NOT_OK(
-          db_->Update(txn.get(), schema_.order, or_ie.rid, AsBytes(ord), kCc));
-      // Deliver the lines, summing amounts.
-      int64_t total = 0;
-      std::vector<IndexEntry> lines;
-      DORADB_RETURN_NOT_OK(
-          cat->Index(schema_.ol_pk)
-              ->ScanPrefix(Schema::OlPrefix(w_id, d, o_id),
-                           [&](std::string_view, const IndexEntry& e) {
-                             lines.push_back(e);
-                             return true;
-                           }));
-      for (const auto& e : lines) {
-        DORADB_RETURN_NOT_OK(db_->Read(txn.get(), schema_.order_line, e.rid,
-                                       &bytes, kForUpdate));
-        auto line = FromBytes<OrderLineRow>(bytes);
-        line.delivery_d = 1;
-        total += line.amount;
-        DORADB_RETURN_NOT_OK(db_->Update(txn.get(), schema_.order_line,
-                                         e.rid, AsBytes(line), kCc));
-      }
-      // Credit the customer.
-      cu.balance += total;
-      cu.delivery_cnt++;
-      DORADB_RETURN_NOT_OK(db_->Update(txn.get(), schema_.customer, cu_ie.rid,
-                                       AsBytes(cu), kCc));
+          DeliverOrderLines(txn, cc, in.w_id, d, o_id, &total));
+      DORADB_RETURN_NOT_OK(CreditCustomer(txn, cc, c_rid, cu, total));
     }
     return Status::OK();
-  }();
-  if (s.ok()) return db_->Commit(txn.get());
-  (void)db_->Abort(txn.get());
-  return s;
+  });
 }
 
 Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
-  const uint32_t w_id =
-      static_cast<uint32_t>(rng.UniformInt(uint64_t{1}, config_.warehouses));
-  const uint32_t carrier =
-      static_cast<uint32_t>(rng.UniformInt(uint64_t{1}, uint64_t{10}));
+  const DeliveryInput in = MakeDeliveryInput(rng);
 
   struct State {
     // Per district: delivered order id (0 = none), customer, line total.
@@ -141,19 +63,13 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
   dora::FlowGraph g;
   // Phase 1: consume the oldest NewOrder of every district.
   g.AddPhase().AddAction(
-      schema_.new_order, w_id, dora::LocalMode::kX,
-      [this, w_id, districts, st](dora::ActionEnv& env) -> Status {
+      schema_.new_order, in.w_id, dora::LocalMode::kX,
+      [this, in, districts, st](dora::ActionEnv& env) -> Status {
         for (uint8_t d = 1; d <= districts; ++d) {
           uint32_t o_id;
-          if (OldestNewOrder(w_id, d, &o_id).IsNotFound()) continue;
-          IndexEntry ie;
-          DORADB_RETURN_NOT_OK(env.db->catalog()->Index(schema_.no_pk)->Probe(
-              Schema::NoKey(w_id, d, o_id), &ie));
+          if (OldestNewOrder(in.w_id, d, &o_id).IsNotFound()) continue;
           DORADB_RETURN_NOT_OK(
-              env.db->Delete(env.txn, schema_.new_order, ie.rid, kRid));
-          DORADB_RETURN_NOT_OK(env.db->IndexRemove(
-              env.txn, schema_.no_pk, Schema::NoKey(w_id, d, o_id), ie.rid,
-              w_id));
+              DeleteNewOrder(env.txn, kDoraCc, in.w_id, d, o_id));
           st->o_id[d].store(o_id, std::memory_order_relaxed);
         }
         return Status::OK();
@@ -162,81 +78,48 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
   // table (atomically enqueued together to keep {OR, OL} ordering
   // consistent with NewOrder's and OrderStatus's batches).
   g.AddPhase()
-      .AddAction(schema_.order, w_id, dora::LocalMode::kX,
-                 [this, w_id, districts, carrier,
-                  st](dora::ActionEnv& env) -> Status {
+      .AddAction(schema_.order, in.w_id, dora::LocalMode::kX,
+                 [this, in, districts, st](dora::ActionEnv& env) -> Status {
                    for (uint8_t d = 1; d <= districts; ++d) {
                      const uint32_t o_id =
                          st->o_id[d].load(std::memory_order_relaxed);
                      if (o_id == 0) continue;
-                     IndexEntry ie;
-                     DORADB_RETURN_NOT_OK(
-                         env.db->catalog()->Index(schema_.or_pk)->Probe(
-                             Schema::OrKey(w_id, d, o_id), &ie));
-                     std::string bytes;
-                     DORADB_RETURN_NOT_OK(env.db->Read(
-                         env.txn, schema_.order, ie.rid, &bytes, kNoCc));
-                     auto ord = FromBytes<OrderRow>(bytes);
-                     ord.carrier_id = carrier;
-                     st->c_id[d].store(ord.c_id, std::memory_order_relaxed);
-                     DORADB_RETURN_NOT_OK(
-                         env.db->Update(env.txn, schema_.order, ie.rid,
-                                        AsBytes(ord), kNoCc));
+                     uint32_t c_id;
+                     DORADB_RETURN_NOT_OK(StampOrder(env.txn, kDoraCc,
+                                                     in.w_id, d, o_id,
+                                                     in.carrier, &c_id));
+                     st->c_id[d].store(c_id, std::memory_order_relaxed);
                    }
                    return Status::OK();
                  })
-      .AddAction(schema_.order_line, w_id, dora::LocalMode::kX,
-                 [this, w_id, districts, st](dora::ActionEnv& env) -> Status {
+      .AddAction(schema_.order_line, in.w_id, dora::LocalMode::kX,
+                 [this, in, districts, st](dora::ActionEnv& env) -> Status {
                    for (uint8_t d = 1; d <= districts; ++d) {
                      const uint32_t o_id =
                          st->o_id[d].load(std::memory_order_relaxed);
                      if (o_id == 0) continue;
-                     std::vector<IndexEntry> lines;
-                     DORADB_RETURN_NOT_OK(
-                         db_->catalog()->Index(schema_.ol_pk)
-                             ->ScanPrefix(
-                                 Schema::OlPrefix(w_id, d, o_id),
-                                 [&](std::string_view, const IndexEntry& le) {
-                                   lines.push_back(le);
-                                   return true;
-                                 }));
-                     int64_t total = 0;
-                     for (const auto& le : lines) {
-                       std::string bytes;
-                       DORADB_RETURN_NOT_OK(env.db->Read(
-                           env.txn, schema_.order_line, le.rid, &bytes,
-                           kNoCc));
-                       auto line = FromBytes<OrderLineRow>(bytes);
-                       line.delivery_d = 1;
-                       total += line.amount;
-                       DORADB_RETURN_NOT_OK(
-                           env.db->Update(env.txn, schema_.order_line,
-                                          le.rid, AsBytes(line), kNoCc));
-                     }
+                     int64_t total;
+                     DORADB_RETURN_NOT_OK(DeliverOrderLines(
+                         env.txn, kDoraCc, in.w_id, d, o_id, &total));
                      st->total[d].store(total, std::memory_order_relaxed);
                    }
                    return Status::OK();
                  });
   // Phase 3: credit the customers.
   g.AddPhase().AddAction(
-      schema_.customer, w_id, dora::LocalMode::kX,
-      [this, w_id, districts, st](dora::ActionEnv& env) -> Status {
+      schema_.customer, in.w_id, dora::LocalMode::kX,
+      [this, in, districts, st](dora::ActionEnv& env) -> Status {
         for (uint8_t d = 1; d <= districts; ++d) {
-          const uint32_t o_id = st->o_id[d].load(std::memory_order_relaxed);
-          if (o_id == 0) continue;
-          IndexEntry ie;
-          DORADB_RETURN_NOT_OK(env.db->catalog()->Index(schema_.cu_pk)->Probe(
-              Schema::CuKey(w_id, d,
-                            st->c_id[d].load(std::memory_order_relaxed)),
-              &ie));
-          std::string bytes;
-          DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.customer,
-                                            ie.rid, &bytes, kNoCc));
-          auto cu = FromBytes<CustomerRow>(bytes);
-          cu.balance += st->total[d].load(std::memory_order_relaxed);
-          cu.delivery_cnt++;
-          DORADB_RETURN_NOT_OK(env.db->Update(env.txn, schema_.customer,
-                                              ie.rid, AsBytes(cu), kNoCc));
+          if (st->o_id[d].load(std::memory_order_relaxed) == 0) continue;
+          Rid rid;
+          CustomerRow cu;
+          DORADB_RETURN_NOT_OK(ResolveCustomer(
+              env.txn, in.w_id, d, false, nullptr,
+              st->c_id[d].load(std::memory_order_relaxed), kDoraCc.rmw,
+              &rid, &cu));
+          DORADB_RETURN_NOT_OK(CreditCustomer(
+              env.txn, kDoraCc, rid, cu,
+              st->total[d].load(std::memory_order_relaxed)));
         }
         return Status::OK();
       });
@@ -246,70 +129,23 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
 // ------------------------------------------------------------ StockLevel
 
 Status TpccWorkload::BaseStockLevel(Rng& rng) {
-  const uint32_t w_id =
-      static_cast<uint32_t>(rng.UniformInt(uint64_t{1}, config_.warehouses));
-  const uint8_t d_id =
-      static_cast<uint8_t>(rng.UniformInt(uint64_t{1}, config_.districts));
-  const int32_t threshold =
-      static_cast<int32_t>(rng.UniformInt(uint64_t{10}, uint64_t{20}));
-  auto txn = db_->Begin();
-  Status s = [&]() -> Status {
-    ScopedTimeClass work(TimeClass::kWork);
-    Catalog* cat = db_->catalog();
-    IndexEntry ie;
-    DORADB_RETURN_NOT_OK(
-        cat->Index(schema_.di_pk)->Probe(Schema::DiKey(w_id, d_id), &ie));
-    std::string bytes;
-    DORADB_RETURN_NOT_OK(
-        db_->Read(txn.get(), schema_.district, ie.rid, &bytes, kCc));
-    const uint32_t next_o = FromBytes<DistrictRow>(bytes).next_o_id;
-    const uint32_t from = next_o > 20 ? next_o - 20 : 1;
-    // Distinct items in the last 20 orders' lines.
+  const StockLevelInput in = MakeStockLevelInput(rng);
+  return RunInTxn(db_, [&](Transaction* txn) -> Status {
+    const CcSet& cc = kBaselineCc;
+    uint32_t next_o;
+    DORADB_RETURN_NOT_OK(ReadNextOrderId(txn, cc, in, &next_o));
     std::vector<uint32_t> items;
-    for (uint32_t o = from; o < next_o; ++o) {
-      std::vector<IndexEntry> lines;
-      DORADB_RETURN_NOT_OK(
-          cat->Index(schema_.ol_pk)
-              ->ScanPrefix(Schema::OlPrefix(w_id, d_id, o),
-                           [&](std::string_view, const IndexEntry& e) {
-                             lines.push_back(e);
-                             return true;
-                           }));
-      for (const auto& e : lines) {
-        DORADB_RETURN_NOT_OK(
-            db_->Read(txn.get(), schema_.order_line, e.rid, &bytes, kCc));
-        items.push_back(FromBytes<OrderLineRow>(bytes).i_id);
-      }
-    }
-    std::sort(items.begin(), items.end());
-    items.erase(std::unique(items.begin(), items.end()), items.end());
-    int low = 0;
-    for (uint32_t i_id : items) {
-      IndexEntry st_ie;
-      DORADB_RETURN_NOT_OK(cat->Index(schema_.st_pk)
-                               ->Probe(Schema::StKey(w_id, i_id), &st_ie));
-      DORADB_RETURN_NOT_OK(
-          db_->Read(txn.get(), schema_.stock, st_ie.rid, &bytes, kCc));
-      if (FromBytes<StockRow>(bytes).quantity < threshold) ++low;
-    }
-    return Status::OK();
-  }();
-  if (s.ok()) return db_->Commit(txn.get());
-  (void)db_->Abort(txn.get());
-  return s;
+    DORADB_RETURN_NOT_OK(RecentItems(txn, cc, in, next_o, &items));
+    int low;
+    return CountLowStock(txn, cc, in, items, &low);
+  });
 }
 
 Status TpccWorkload::DoraStockLevel(dora::DoraEngine* e, Rng& rng) {
-  const uint32_t w_id =
-      static_cast<uint32_t>(rng.UniformInt(uint64_t{1}, config_.warehouses));
-  const uint8_t d_id =
-      static_cast<uint8_t>(rng.UniformInt(uint64_t{1}, config_.districts));
-  const int32_t threshold =
-      static_cast<int32_t>(rng.UniformInt(uint64_t{10}, uint64_t{20}));
+  const StockLevelInput in = MakeStockLevelInput(rng);
 
   struct State {
     std::atomic<uint32_t> next_o{0};
-    std::mutex mu;
     std::vector<uint32_t> items;
   };
   auto st = std::make_shared<State>();
@@ -317,61 +153,26 @@ Status TpccWorkload::DoraStockLevel(dora::DoraEngine* e, Rng& rng) {
   auto dtxn = e->BeginTxn();
   dora::FlowGraph g;
   g.AddPhase().AddAction(
-      schema_.district, w_id, dora::LocalMode::kS,
-      [this, w_id, d_id, st](dora::ActionEnv& env) -> Status {
-        IndexEntry ie;
-        DORADB_RETURN_NOT_OK(
-            env.db->catalog()->Index(schema_.di_pk)->Probe(
-                Schema::DiKey(w_id, d_id), &ie));
-        std::string bytes;
-        DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.district, ie.rid,
-                                          &bytes, kNoCc));
-        st->next_o.store(FromBytes<DistrictRow>(bytes).next_o_id,
-                         std::memory_order_relaxed);
+      schema_.district, in.w_id, dora::LocalMode::kS,
+      [this, in, st](dora::ActionEnv& env) -> Status {
+        uint32_t next_o;
+        DORADB_RETURN_NOT_OK(ReadNextOrderId(env.txn, kDoraCc, in, &next_o));
+        st->next_o.store(next_o, std::memory_order_relaxed);
         return Status::OK();
       });
   g.AddPhase().AddAction(
-      schema_.order_line, w_id, dora::LocalMode::kS,
-      [this, w_id, d_id, st](dora::ActionEnv& env) -> Status {
-        const uint32_t next_o = st->next_o.load(std::memory_order_relaxed);
-        const uint32_t from = next_o > 20 ? next_o - 20 : 1;
-        for (uint32_t o = from; o < next_o; ++o) {
-          std::vector<IndexEntry> lines;
-          DORADB_RETURN_NOT_OK(
-              db_->catalog()->Index(schema_.ol_pk)
-                  ->ScanPrefix(Schema::OlPrefix(w_id, d_id, o),
-                               [&](std::string_view, const IndexEntry& le) {
-                                 lines.push_back(le);
-                                 return true;
-                               }));
-          for (const auto& le : lines) {
-            std::string bytes;
-            DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.order_line,
-                                              le.rid, &bytes, kNoCc));
-            st->items.push_back(FromBytes<OrderLineRow>(bytes).i_id);
-          }
-        }
-        std::sort(st->items.begin(), st->items.end());
-        st->items.erase(std::unique(st->items.begin(), st->items.end()),
-                        st->items.end());
-        return Status::OK();
+      schema_.order_line, in.w_id, dora::LocalMode::kS,
+      [this, in, st](dora::ActionEnv& env) {
+        return RecentItems(env.txn, kDoraCc, in,
+                           st->next_o.load(std::memory_order_relaxed),
+                           &st->items);
       });
-  g.AddPhase().AddAction(
-      schema_.stock, w_id, dora::LocalMode::kS,
-      [this, w_id, threshold, st](dora::ActionEnv& env) -> Status {
-        int low = 0;
-        for (uint32_t i_id : st->items) {
-          IndexEntry ie;
-          DORADB_RETURN_NOT_OK(
-              env.db->catalog()->Index(schema_.st_pk)->Probe(
-                  Schema::StKey(w_id, i_id), &ie));
-          std::string bytes;
-          DORADB_RETURN_NOT_OK(env.db->Read(env.txn, schema_.stock, ie.rid,
-                                            &bytes, kNoCc));
-          if (FromBytes<StockRow>(bytes).quantity < threshold) ++low;
-        }
-        return Status::OK();
-      });
+  g.AddPhase().AddAction(schema_.stock, in.w_id, dora::LocalMode::kS,
+                         [this, in, st](dora::ActionEnv& env) {
+                           int low;
+                           return CountLowStock(env.txn, kDoraCc, in,
+                                                st->items, &low);
+                         });
   return e->Run(dtxn, std::move(g));
 }
 

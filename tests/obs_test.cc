@@ -325,10 +325,8 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
   }
 
   // The executors' drain histograms are the per-executor queue-wait
-  // signal (heatmap, rebalance trigger); the drain that served the action
-  // must have recorded into both the engine-wide and a per-executor one.
-  EXPECT_GT(HistCount(after, "dora.inbox.drain_wait_ns"),
-            HistCount(before, "dora.inbox.drain_wait_ns"));
+  // signal (the heatmap reads them); the drain that served the action must
+  // have recorded into one of them.
   uint64_t exec_samples = 0;
   for (const std::string& name : exec_waits) {
     exec_samples += HistCount(after, name) - HistCount(before, name);

@@ -1,9 +1,14 @@
 // End-to-end tests for TPC-B and TPC-C on both engines, including the
-// benchmarks' consistency invariants under concurrent load.
+// benchmarks' consistency invariants under concurrent load, and a
+// cross-engine equivalence check over TM1, TPC-B and TPC-C.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "workloads/common/driver.h"
+#include "workloads/tm1/tm1.h"
 #include "workloads/tpcb/tpcb.h"
 #include "workloads/tpcc/tpcc.h"
 
@@ -229,6 +234,101 @@ TEST_F(TpccTest, PaymentRemoteCustomerRoutesToOtherExecutor) {
   }
   EXPECT_GT(ok, 190);
   EXPECT_TRUE(workload_->CheckConsistency().ok());
+}
+
+// ------------------------------------------------- cross-engine equivalence
+
+// Every table's rows, each table's sorted by their bytes.
+std::vector<std::vector<std::string>> TableContents(Database* db) {
+  std::vector<std::vector<std::string>> out;
+  for (const auto& table : db->catalog()->tables()) {
+    std::vector<std::string> rows;
+    EXPECT_TRUE(table->heap
+                    ->Scan([&rows](const Rid&, std::string_view rec) {
+                      rows.emplace_back(rec);
+                      return true;
+                    })
+                    .ok());
+    std::sort(rows.begin(), rows.end());
+    out.push_back(std::move(rows));
+  }
+  return out;
+}
+
+// Both engines run a transaction as the same row-level steps, so one
+// serial transaction stream must give the same outcome per transaction and
+// the same table contents on the Baseline as on DORA. Two databases are
+// loaded alike; each engine draws its inputs from its own Rng(seed), and a
+// shared stream picks the transaction types.
+void ExpectEnginesAgree(
+    const std::function<std::unique_ptr<Workload>(Database*)>& make,
+    int txns, uint64_t seed) {
+  Database base_db(DbOptions());
+  Database dora_db(DbOptions());
+  const std::unique_ptr<Workload> base = make(&base_db);
+  const std::unique_ptr<Workload> dora = make(&dora_db);
+  ASSERT_TRUE(base->Load().ok());
+  ASSERT_TRUE(dora->Load().ok());
+  dora::DoraEngine engine(&dora_db);
+  dora->SetupDora(&engine);
+  engine.Start();
+  Rng type_rng(seed ^ 0x5eed);
+  Rng base_rng(seed);
+  Rng dora_rng(seed);
+  for (int i = 0; i < txns; ++i) {
+    const uint32_t type = base->PickTxnType(type_rng);
+    const Status b = base->RunBaseline(type, base_rng);
+    const Status d = dora->RunDora(&engine, type, dora_rng);
+    ASSERT_EQ(b.ok(), d.ok())
+        << "txn " << i << " " << base->TxnName(type)
+        << " baseline=" << b.ToString() << " dora=" << d.ToString();
+  }
+  engine.Stop();
+  const auto base_rows = TableContents(&base_db);
+  const auto dora_rows = TableContents(&dora_db);
+  ASSERT_EQ(base_rows.size(), dora_rows.size());
+  for (size_t t = 0; t < base_rows.size(); ++t) {
+    EXPECT_TRUE(base_rows[t] == dora_rows[t])
+        << base->name() << " table "
+        << base_db.catalog()->tables()[t]->name << " differs ("
+        << base_rows[t].size() << " vs " << dora_rows[t].size() << " rows)";
+  }
+}
+
+TEST(CrossEngineTest, Tm1SameOutcomesAndTables) {
+  ExpectEnginesAgree(
+      [](Database* db) {
+        tm1::Tm1Workload::Config cfg;
+        cfg.subscribers = 1000;
+        return std::make_unique<tm1::Tm1Workload>(db, cfg);
+      },
+      20000, 28);
+}
+
+TEST(CrossEngineTest, TpcbSameOutcomesAndTables) {
+  ExpectEnginesAgree(
+      [](Database* db) {
+        tpcb::TpcbWorkload::Config cfg;
+        cfg.branches = 4;
+        cfg.tellers_per_branch = 5;
+        cfg.accounts_per_branch = 200;
+        return std::make_unique<tpcb::TpcbWorkload>(db, cfg);
+      },
+      2000, 28);
+}
+
+TEST(CrossEngineTest, TpccSameOutcomesAndTables) {
+  ExpectEnginesAgree(
+      [](Database* db) {
+        tpcc::TpccWorkload::Config cfg;
+        cfg.warehouses = 2;
+        cfg.districts = 4;
+        cfg.customers_per_district = 60;
+        cfg.items = 200;
+        cfg.initial_orders_per_district = 5;
+        return std::make_unique<tpcc::TpccWorkload>(db, cfg);
+      },
+      3000, 28);
 }
 
 }  // namespace
