@@ -41,9 +41,9 @@ Point RunPoint(LogBackendKind backend, uint32_t account_executors) {
   db_opts.log_partitions = total_executors;
 
   dora::DoraEngine::Options engine_opts;
-  // The plog configuration also enables the commit pipeline (ELR +
-  // per-partition ack queues) — the central configuration is the paper's
-  // baseline commit path, blocking in WaitFlushed on the executor.
+  // The plog configuration also enables the commit pipeline (ELR, each
+  // client waiting for its own commit) — the central configuration is the
+  // paper's baseline commit path, blocking in WaitFlushed on the executor.
   engine_opts.pipelined_commit = (backend == LogBackendKind::kPartitioned);
 
   auto rig = MakeTpcbWith(db_opts, engine_opts, account_executors,

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Schema-check the live stats reporter's output.
 
-Usage: check_metrics_json.py [--require-rebalance] <logfile> [logfile...]
+Usage: check_metrics_json.py [--require-rebalance] [--require-inline]
+                             <logfile> [logfile...]
 
 Scans each log for "DORADB_STATS {json}" lines (the StatsReporter's
 format, normally on stderr) and fails if:
@@ -47,6 +48,10 @@ skewed workload), the live-repartitioning path must have left evidence:
   * at least one well-formed "DORADB_REBALANCE {json}" line (the
     controller's per-migration report: ts_ms/table/kind/hot/cold/
     version/fence_wait_ns/busy_hot/busy_cold).
+
+With --require-inline (for DORA smokes run with pipelined commit), guest
+execution must have fired: the "dora.txns.inline" counter > 0 (some
+single-executor transaction ran on its client's thread).
 """
 
 import json
@@ -201,7 +206,9 @@ def check_bench_payload(where, payload, errors):
 def main(argv):
     args = argv[1:]
     require_rebalance = "--require-rebalance" in args
-    args = [a for a in args if a != "--require-rebalance"]
+    require_inline = "--require-inline" in args
+    args = [a for a in args
+            if a not in ("--require-rebalance", "--require-inline")]
     if not args:
         print(__doc__)
         return 2
@@ -272,6 +279,9 @@ def main(argv):
         if rebalance_lines == 0:
             errors.append("--require-rebalance: no DORADB_REBALANCE lines "
                           "found (controller report missing)")
+    if require_inline and seen_values.get("dora.txns.inline", 0) <= 0:
+        errors.append("--require-inline: dora.txns.inline never went "
+                      "positive (no transaction ran as a guest)")
     for e in errors:
         print(f"check_metrics_json: {e}", file=sys.stderr)
     print(f"check_metrics_json: {stats_lines} stats line(s), "

@@ -134,11 +134,17 @@ class ActionBody {
   const Ops* ops_ = nullptr;
 };
 
-// Header of every executor inbox message. Executors receive exactly three
+// Header of every executor inbox message. Executors receive exactly four
 // message kinds through one MPSC queue: dispatched actions, transaction
-// completions (§4.1.3 steps 10-12), and the stop sentinel.
+// completions (§4.1.3 steps 10-12), the stop sentinel, and the wake a
+// guest sends after parking an action (dora/executor.h).
 struct InboxEntry : MpscNode {
-  enum class Kind : uint8_t { kAction = 0, kCompletion = 1, kStop = 2 };
+  enum class Kind : uint8_t {
+    kAction = 0,
+    kCompletion = 1,
+    kStop = 2,
+    kWake = 3
+  };
   Kind kind = Kind::kAction;
   // Cycle timestamp of the push (Executor::PushToInbox). Feeds the
   // per-drain queue-wait histogram; 0 while metrics are disabled.
@@ -175,6 +181,12 @@ struct CompletionMsg : InboxEntry {
 // Stop sentinel, pushed once by Executor::Stop().
 struct StopMsg : InboxEntry {
   StopMsg() { kind = Kind::kStop; }
+};
+
+// "Re-arm your expiry timer": a guest left an action parked in the lock
+// table of an executor that may sleep without a timeout. Carries nothing.
+struct WakeMsg : InboxEntry {
+  WakeMsg() { kind = Kind::kWake; }
 };
 
 // Rendezvous point: counts down as the actions of its phase complete; the
@@ -252,8 +264,7 @@ class FlowGraph {
 // Per-transaction execution context shared by dispatcher and executors.
 //
 // Lifetime: reference-counted. The client's handle (DoraTxnRef) holds one
-// reference; every in-flight completion message and commit-ack entry holds
-// another. The last release recycles the context into its home arena with
+// reference; every in-flight completion message holds another. The last release recycles the context into its home arena with
 // all vector capacities intact, so a warmed-up engine materializes and
 // dispatches flow graphs without touching the allocator.
 class DoraTxn {
@@ -284,20 +295,37 @@ class DoraTxn {
   }
 
   // Dispatcher blocks here (closed loop) until the terminal RVP finishes.
-  // Direct futex wait on the done flag — no mutex, no condvar, and none of
+  // Direct futex wait on the done word — no mutex, no condvar, and none of
   // the pre-sleep spinning of std::atomic::wait, which on saturated hosts
-  // only delays the executor that would set the flag.
+  // only delays the executor that would set it. The client announces its
+  // sleep (kSleeping), so Complete pays the wake syscall only for a client
+  // that is actually asleep — never for a guest completing its own
+  // transaction.
   Status Wait() {
-    while (done_.load(std::memory_order_acquire) == 0) {
-      detail::FutexWait(&done_, 0, /*timeout_us=*/-1);
+    for (;;) {
+      uint32_t s = done_.load(std::memory_order_acquire);
+      if (s == kDone) return result_;
+      if (s == kPending &&
+          !done_.compare_exchange_weak(s, kSleeping,
+                                       std::memory_order_relaxed)) {
+        continue;
+      }
+      detail::FutexWait(&done_, kSleeping, /*timeout_us=*/-1);
     }
-    return result_;
   }
   void Complete(Status result) {
     result_ = std::move(result);
-    done_.store(1, std::memory_order_release);
-    detail::FutexWake(&done_);
+    if (done_.exchange(kDone, std::memory_order_acq_rel) == kSleeping) {
+      detail::FutexWake(&done_);
+    }
   }
+
+  // A pipelined commit whose record the flush horizon did not yet cover
+  // when FinishTxn completed the client: the commit LSN (kInvalidLsn =
+  // none pending) and the log partition the record went to. The client
+  // waits for durability itself (DoraEngine::Run).
+  Lsn durable_wait_lsn = kInvalidLsn;
+  uint32_t durable_wait_partition = 0;
 
   // --- reference counting (arena recycling) ---
 
@@ -310,7 +338,8 @@ class DoraTxn {
     db_ = db;
     txn_ = std::move(txn);
     aborted_.store(false, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
+    done_.store(kPending, std::memory_order_relaxed);
+    durable_wait_lsn = kInvalidLsn;
     result_ = Status::OK();
     abort_reason_ = Status::OK();
     refs_.store(1, std::memory_order_relaxed);
@@ -335,8 +364,12 @@ class DoraTxn {
   std::atomic<uint32_t> refs_{1};
   std::atomic<bool> aborted_{false};
 
+  static constexpr uint32_t kPending = 0;
+  static constexpr uint32_t kSleeping = 1;  // the client is in FutexWait
+  static constexpr uint32_t kDone = 2;
+
   mutable std::mutex mu_;  // guards abort_reason_ only
-  std::atomic<uint32_t> done_{0};
+  std::atomic<uint32_t> done_{kPending};
   Status result_;
   Status abort_reason_;
 };

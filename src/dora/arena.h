@@ -6,7 +6,7 @@
 // transaction sitting squarely on the per-action hot path the paper wants
 // contention-free. The arena keeps a free list of fully-constructed
 // DoraTxn contexts: recycling happens when the last reference (client
-// handle, completion message, or commit ack) drops — i.e. as a consequence
+// handle or completion message) drops — i.e. as a consequence
 // of FinishTxn's fan-out draining — and returns the context with every
 // vector's capacity intact, so a warmed-up engine runs transactions with
 // zero graph-state allocations.

@@ -1,16 +1,16 @@
 #include "dora/dora_engine.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <set>
 
 #include "obs/health.h"
-#include "obs/heartbeat.h"
 #include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace doradb {
 namespace dora {
@@ -96,26 +96,6 @@ void DoraEngine::Start() {
                                            LockMode::kIX);
     }
   }
-  if (options_.pipelined_commit) {
-    // One commit-ack queue per log partition, sharded over at most
-    // core-count daemons; with the one-partition central log this
-    // degenerates to a single group-commit daemon. Shards must be fully
-    // built before any executor runs: a transaction can finish (and
-    // consult ack_shards_) as soon as the first executor is live.
-    const uint32_t n = db_->log_manager()->num_partitions();
-    const uint32_t shards = std::min(n, std::max(1u, HardwareContexts()));
-    for (uint32_t s = 0; s < shards; ++s) {
-      ack_shards_.push_back(std::make_unique<AckShard>());
-    }
-    for (uint32_t p = 0; p < n; ++p) {
-      ack_shards_[p % shards]->queues.emplace_back(p,
-                                                   std::deque<CommitAck>());
-    }
-    for (size_t i = 0; i < ack_shards_.size(); ++i) {
-      AckShard* s = ack_shards_[i].get();
-      ack_shards_[i]->daemon = std::thread([this, s, i] { AckLoop(s, i); });
-    }
-  }
   for (auto& [table, group] : tables_) {
     for (auto& e : group->executors) e->Start();
   }
@@ -156,6 +136,8 @@ void DoraEngine::Start() {
   cb("dora.txns.acked_inline",
      [this] { return static_cast<int64_t>(txns_acked_inline()); }, kCtr,
      "txns");
+  cb("dora.txns.inline",
+     [this] { return static_cast<int64_t>(txns_inline()); }, kCtr, "txns");
   cb("dora.tickets.issued",
      [this] { return static_cast<int64_t>(tickets_.issued()); }, kCtr,
      "tickets");
@@ -198,86 +180,14 @@ void DoraEngine::Stop() {
     obs::LoadHeatmap::Default().UnregisterSource(heatmap_token_);
     heatmap_token_ = 0;
   }
-  // Executors first (no new commits enter the ack queues), then drain the
-  // ack daemons so every in-flight commit is acknowledged durable.
   for (auto& [table, group] : tables_) {
     for (auto& e : group->executors) e->Stop();
   }
-  for (auto& shard : ack_shards_) {
-    {
-      std::lock_guard<std::mutex> g(shard->mu);
-      shard->stop = true;
-    }
-    shard->cv.notify_all();
-    if (shard->daemon.joinable()) shard->daemon.join();
-  }
-  ack_shards_.clear();
   if (system_txn_ != nullptr) {
     (void)db_->Commit(system_txn_.get());
     system_txn_.reset();
   }
   started_ = false;
-}
-
-void DoraEngine::AckLoop(AckShard* shard, size_t idx) {
-  // Watchdog heartbeat: a daemon blocked in WaitFlushedFrom with commits
-  // outstanding shows up as stalled-in-"wait-durable"; an empty queue is
-  // marked idle so quiet periods never read as stalls.
-  obs::ScopedHeartbeat hb("dora.ack." + std::to_string(idx));
-  // (partition, batch) pairs drained from the shard's queues.
-  std::vector<std::pair<uint32_t, std::deque<CommitAck>>> drained;
-  for (;;) {
-    drained.clear();
-    {
-      std::unique_lock<std::mutex> lk(shard->mu);
-      hb->SetStage("wait-work");
-      hb->SetIdle(true);
-      shard->cv.wait(lk, [&] {
-        if (shard->stop) return true;
-        for (const auto& [p, q] : shard->queues) {
-          if (!q.empty()) return true;
-        }
-        return false;
-      });
-      hb->SetIdle(false);
-      bool any = false;
-      for (auto& [p, q] : shard->queues) {
-        if (q.empty()) continue;
-        any = true;
-        drained.emplace_back(p, std::deque<CommitAck>());
-        drained.back().second.swap(q);
-      }
-      if (!any && shard->stop) return;
-    }
-    for (auto& [partition, batch] : drained) {
-      // Group commit: one wait for the batch's highest GSN covers every
-      // commit queued behind the same flush horizon. The daemon's blocked
-      // time is idle overlap — the executors it unblocked are busy
-      // elsewhere — so it is left unattributed.
-      Lsn max_gsn = kInvalidLsn;
-      for (const auto& ack : batch) max_gsn = std::max(max_gsn, ack.gsn);
-      hb->SetStage("wait-durable");
-      const Status durable =
-          db_->log_manager()->WaitFlushedFrom(partition, max_gsn);
-      hb->Beat();
-      hb->SetStage("ack");
-      // On a durability failure the frozen horizon still covers a prefix
-      // of the batch — those commits ARE durable and ack normally. The
-      // rest are indeterminate: never re-acked over a failed fsync, never
-      // rolled back either (their records may have reached the medium).
-      const Lsn covered =
-          durable.ok() ? max_gsn : db_->log_manager()->flushed_lsn();
-      for (auto& ack : batch) {
-        if (!durable.ok() && ack.gsn > covered) {
-          ack.dtxn->Complete(
-              db_->CommitIndeterminate(ack.dtxn->txn(), durable));
-        } else {
-          FinalizeDurable(ack.dtxn, /*acked_inline=*/false);
-        }
-        ack.dtxn->Unref();  // ack queue's reference
-      }
-    }
-  }
 }
 
 DoraTxnRef DoraEngine::BeginTxn() {
@@ -332,8 +242,48 @@ Status DoraEngine::Run(const DoraTxnRef& dtxn, FlowGraph&& graph) {
     }
   }
   obs::CommitTracer::Stamp(t->txn()->id(), obs::TraceStage::kDispatch);
-  DispatchPhase(t, 0);
-  return t->Wait();
+  Executor* host = GuestHost(t);
+  const bool guest = host != nullptr && host->RunAsGuest(t);
+  if (!guest) DispatchPhase(t, 0);
+  Status s = t->Wait();
+  if (t->durable_wait_lsn != kInvalidLsn) s = AwaitDurable(t);
+  // A dispatching client sleeps and leaves its CPU to the executors; a
+  // guest kept it through the whole transaction. The scheduler lets a
+  // running thread finish its slice before a woken one preempts it, so
+  // yield once: an executor woken for dispatched work runs now, not after
+  // this client's next few inline transactions.
+  if (guest) sched_yield();
+  return s;
+}
+
+Executor* DoraEngine::GuestHost(DoraTxn* dtxn) const {
+  if (!options_.pipelined_commit || dtxn->num_phases() != 1 ||
+      obs::EngineHealth::Default().degraded()) {
+    return nullptr;
+  }
+  Executor* host = nullptr;
+  for (const Action* a : dtxn->phase_actions[0]) {
+    if (a->whole_dataset) return nullptr;
+    Executor* e = RouteToExecutor(a->table, a->routing_value);
+    if (host != nullptr && e != host) return nullptr;
+    host = e;
+  }
+  return host;
+}
+
+Status DoraEngine::AwaitDurable(DoraTxn* dtxn) {
+  const Lsn lsn = dtxn->durable_wait_lsn;
+  LogBackend* log = db_->log_manager();
+  const Status durable =
+      log->WaitFlushedFrom(dtxn->durable_wait_partition, lsn);
+  // On a durability failure the frozen horizon may still cover the commit
+  // — then it IS durable and acks normally. Otherwise it is indeterminate:
+  // never acked over a failed fsync, never rolled back either (its record
+  // may have reached the medium).
+  if (!durable.ok() && lsn > log->flushed_lsn()) {
+    return db_->CommitIndeterminate(dtxn->txn(), durable);
+  }
+  return FinalizeDurable(dtxn, /*acked_inline=*/false);
 }
 
 uint32_t DoraEngine::RouteIndex(TableId table, uint64_t routing_value) const {
@@ -423,15 +373,20 @@ void DoraEngine::Redispatch(Action* a) {
   owner->PushToInbox(a);
 }
 
-void DoraEngine::FanOutCompletions(DoraTxn* dtxn) {
+void DoraEngine::FanOutCompletions(DoraTxn* dtxn, Executor* local) {
   auto& owners = dtxn->scratch_owners;
   owners.clear();
+  bool release_local = false;
   for (const auto& a : dtxn->actions) {
-    if (a.owner != nullptr) owners.push_back(a.owner);
+    if (a.owner == nullptr) continue;
+    if (a.owner == local) {
+      release_local = true;
+    } else {
+      owners.push_back(a.owner);
+    }
   }
   std::sort(owners.begin(), owners.end());
   owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-  if (owners.empty()) return;
   // Messages are embedded in the context; size the vector BEFORE the first
   // push (no reallocation while nodes are enqueued) and take one reference
   // per message — the context stays alive until the last executor drains.
@@ -443,9 +398,10 @@ void DoraEngine::FanOutCompletions(DoraTxn* dtxn) {
     m.dtxn = dtxn;
     owners[i]->PushToInbox(&m);
   }
+  if (release_local) local->ReleaseLocks(dtxn);
 }
 
-void DoraEngine::FinalizeDurable(DoraTxn* dtxn, bool acked_inline) {
+Status DoraEngine::FinalizeDurable(DoraTxn* dtxn, bool acked_inline) {
   Transaction* txn = dtxn->txn();
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
   if (txn->logged_work()) {
@@ -459,54 +415,41 @@ void DoraEngine::FinalizeDurable(DoraTxn* dtxn, bool acked_inline) {
         Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
   }
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
-  dtxn->Complete(s);
+  return s;
 }
 
-void DoraEngine::QueueAck(DoraTxn* dtxn, Lsn lsn) {
-  // The commit record went to this thread's bound partition; its ack
-  // queue lives at slot partition/shards of shard partition%shards.
-  const uint32_t partition = db_->log_manager()->CurrentPartition() %
-                             db_->log_manager()->num_partitions();
-  const uint32_t shards = static_cast<uint32_t>(ack_shards_.size());
-  AckShard* shard = ack_shards_[partition % shards].get();
-  dtxn->Ref();  // the ack queue's reference
-  {
-    std::lock_guard<std::mutex> g(shard->mu);
-    shard->queues[partition / shards].second.push_back(CommitAck{dtxn, lsn});
-  }
-  shard->cv.notify_one();
-}
-
-void DoraEngine::FinishTxn(DoraTxn* dtxn) {
+void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* local) {
   // A degraded engine takes the synchronous fallback below: Database::
   // Commit handles the read-only/rollback split and surfaces the typed
   // Unavailable — pipelining a commit that can never become durable would
-  // only park it in an ack queue to fail later.
-  if (!dtxn->aborted() && options_.pipelined_commit && !ack_shards_.empty() &&
+  // only leave its client waiting to fail later.
+  if (!dtxn->aborted() && options_.pipelined_commit &&
       !obs::EngineHealth::Default().degraded()) {
     // Pipelined commit (§5.4 flush pipelining + ELR): append the commit
-    // record, release thread-local locks immediately, queue the ack, and
-    // let this executor pick up its next action instead of stalling in
-    // WaitFlushed. The client is completed by the ack daemon once the
-    // commit LSN is covered by the global stable horizon. A reader
-    // appends nothing; its LSN is the early-release horizon it depends on.
+    // record, release thread-local locks immediately, and complete the
+    // client, which waits for durability on its own thread (Run), so this
+    // thread picks up its next action instead of stalling in WaitFlushed.
+    // A reader appends nothing; its LSN is the early-release horizon it
+    // depends on.
     Transaction* txn = dtxn->txn();
     const Lsn commit_lsn = db_->CommitAsync(txn);
     obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kCommitAppend);
     // A writer publishes its commit LSN before any lock goes, so every
     // transaction that reads its writes waits for their durability.
     if (txn->logged_work()) db_->RaiseEarlyReleaseHorizon(commit_lsn);
-    FanOutCompletions(dtxn);  // early lock release, pre-durability
-    // Inline-ack fast path: when the global flush horizon already covers
-    // the commit LSN (synchronous log, a flusher won the race, or a
-    // reader whose dependencies are durable), the commit is final right
-    // now — finalize and complete the client on this executor instead of
-    // round-tripping through the ack daemon.
+    // Early lock release, pre-durability.
+    FanOutCompletions(dtxn, local);
+    if (local != nullptr) inline_.fetch_add(1, std::memory_order_relaxed);
+    // When the global flush horizon already covers the commit LSN
+    // (synchronous log, a flusher won the race, or a reader whose
+    // dependencies are durable), the commit is final right now.
     if (db_->log_manager()->flushed_lsn() >= commit_lsn) {
-      FinalizeDurable(dtxn, /*acked_inline=*/true);
+      dtxn->Complete(FinalizeDurable(dtxn, /*acked_inline=*/true));
       return;
     }
-    QueueAck(dtxn, commit_lsn);
+    dtxn->durable_wait_lsn = commit_lsn;
+    dtxn->durable_wait_partition = db_->log_manager()->CurrentPartition();
+    dtxn->Complete(Status::OK());
     return;
   }
 
@@ -529,6 +472,7 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn) {
     final_status = db_->Commit(dtxn->txn());
     if (final_status.ok()) {
       committed_.fetch_add(1, std::memory_order_relaxed);
+      if (local != nullptr) inline_.fetch_add(1, std::memory_order_relaxed);
     } else {
       // Degraded engine: the commit failed Unavailable (rolled back or
       // indeterminate) — counting it as committed would overstate the
@@ -538,7 +482,7 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn) {
   }
 
   // Completion fan-out (§A.1 steps 10-12) after commit/abort completes.
-  FanOutCompletions(dtxn);
+  FanOutCompletions(dtxn, local);
   obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kAck);
   dtxn->Complete(std::move(final_status));
 }

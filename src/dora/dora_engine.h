@@ -10,7 +10,10 @@
 // (util/mpsc_queue.h) carrying actions and completion messages alike; the
 // §4.2.3 atomic multi-queue enqueue is preserved by global dispatch
 // tickets (dora/ticket.h) instead of ordered queue latches. Transaction
-// contexts are pooled in per-executor arenas (dora/arena.h).
+// contexts are pooled in per-executor arenas (dora/arena.h). With
+// pipelined commit, a one-phase single-executor transaction whose
+// executor is idle runs on the client's own thread as a guest
+// (Executor::RunAsGuest), with no handoff at all.
 //
 // Usage:
 //   DoraEngine engine(&db, options);
@@ -25,11 +28,7 @@
 #define DORADB_DORA_DORA_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -58,14 +57,15 @@ class DoraEngine {
     // are held only until commit, normally sub-millisecond; the margin
     // absorbs scheduling hiccups on oversubscribed hosts.
     uint64_t local_wait_timeout_us = 150000;
-    // Pipelined commit with early lock release: the executor that zeroes
-    // the terminal RVP appends the commit record, releases the txn's
-    // thread-local locks immediately, hands the txn to a per-log-partition
-    // commit-ack queue, and picks up its next action instead of blocking
-    // in WaitFlushed. An ack daemon completes the client once the commit
-    // GSN is stable. Safe because commit acks gate on the global GSN
-    // horizon: a dependent txn's commit always carries a larger GSN, so it
-    // can never be acknowledged before the txn it read from.
+    // Pipelined commit with early lock release: the thread that zeroes the
+    // terminal RVP appends the commit record, releases the txn's
+    // thread-local locks immediately, and completes the client, which then
+    // waits for the commit GSN to be stable on its own thread — no executor
+    // blocks in WaitFlushed. Safe because commit acks gate on the global
+    // GSN horizon: a dependent txn's commit always carries a larger GSN, so
+    // it can never be acknowledged before the txn it read from. Also the
+    // precondition of guest execution (Run): a synchronous commit would
+    // hold the executor's baton across the flush.
     bool pipelined_commit = false;
     uint32_t epoch_batch_min = 0;  // inert: nothing reads it; perfbench sets it
   };
@@ -131,8 +131,10 @@ class DoraEngine {
 
   DoraTxnRef BeginTxn();
 
-  // Materialize the graph, dispatch phase 0 (ticket-ordered enqueue), wait
-  // for the terminal RVP. Returns the transaction's final status.
+  // Materialize the graph, then run it inline as a guest of its executor
+  // (one phase, one executor, pipelined commit, executor idle) or dispatch
+  // phase 0 (ticket-ordered enqueue); wait for the terminal RVP, and for a
+  // pipelined commit's durability. Returns the transaction's final status.
   Status Run(const DoraTxnRef& dtxn, FlowGraph&& graph);
 
   // --- routing ---
@@ -193,9 +195,10 @@ class DoraEngine {
   // rule change).
   void Redispatch(Action* a);
 
-  // Commit/abort + completion fan-out; runs on the executor that zeroed the
-  // terminal (or aborting) RVP.
-  void FinishTxn(DoraTxn* dtxn);
+  // Commit/abort + completion fan-out; runs on the thread that zeroed the
+  // terminal (or aborting) RVP. `local` is the executor whose baton a guest
+  // holds: its locks are released directly instead of by message.
+  void FinishTxn(DoraTxn* dtxn, Executor* local = nullptr);
 
   // --- stats ---
   uint64_t txns_committed() const {
@@ -209,49 +212,39 @@ class DoraEngine {
   uint64_t txns_pipelined() const {
     return pipelined_.load(std::memory_order_relaxed);
   }
-  // Pipelined writer commits acknowledged inline because the flush
-  // horizon already covered their commit GSN (no ack-daemon round trip).
+  // Pipelined writer commits finalized without a durable wait, because the
+  // flush horizon already covered their commit GSN when FinishTxn ran.
   uint64_t txns_acked_inline() const {
     return acked_inline_.load(std::memory_order_relaxed);
+  }
+  // Commits run entirely on the client's thread as a guest
+  // (dora.txns.inline).
+  uint64_t txns_inline() const {
+    return inline_.load(std::memory_order_relaxed);
   }
   InboxStats CollectInboxStats() const;
   std::vector<Executor*> AllExecutors() const;
 
  private:
-  // One commit-ack queue per log partition (§5.4 flush pipelining): FIFO
-  // of transactions whose commit record is appended but not yet stable.
-  // Queues are grouped into shards, one daemon thread each; the shard
-  // count is capped at the core count so constrained hosts get one daemon
-  // sweeping every queue instead of an oversubscribed thread herd.
-  struct CommitAck {
-    DoraTxn* dtxn = nullptr;  // carries one reference
-    Lsn gsn = kInvalidLsn;
-  };
-  struct AckShard {
-    std::mutex mu;
-    std::condition_variable cv;
-    // (log partition, its FIFO of unacknowledged commits)
-    std::vector<std::pair<uint32_t, std::deque<CommitAck>>> queues;
-    bool stop = false;
-    std::thread daemon;
-  };
-
-  // `idx` is the shard's position in ack_shards_, used only to name the
-  // daemon's watchdog heartbeat ("dora.ack.<idx>").
-  void AckLoop(AckShard* shard, size_t idx);
+  // The executor `dtxn` may run on as a guest: its graph has one phase
+  // whose actions all route to that executor, none whole-dataset, and the
+  // engine commits pipelined and is not degraded. Null otherwise.
+  Executor* GuestHost(DoraTxn* dtxn) const;
   // Completion fan-out (§A.1 steps 10-12): hand the txn back to every
   // executor that ran one of its actions so they release local locks.
-  // Each message carries one reference on the context.
-  void FanOutCompletions(DoraTxn* dtxn);
-  // Hand a commit whose LSN the flush horizon does not cover yet to the
-  // ack queue of this thread's bound log partition. Takes the queue's
-  // reference on the context.
-  void QueueAck(DoraTxn* dtxn, Lsn lsn);
+  // Each message carries one reference on the context. `local`'s locks
+  // (a guest's executor) are released directly, after the messages go.
+  void FanOutCompletions(DoraTxn* dtxn, Executor* local);
+  // The client's half of a pipelined commit (Run): wait until the commit
+  // LSN FinishTxn left in the context is stable, then finalize. A commit
+  // the frozen horizon of a failed log does not cover is indeterminate.
+  Status AwaitDurable(DoraTxn* dtxn);
   // Finalize a pipelined commit whose GSN the flush horizon covers:
-  // CommitFinalize + counters + latency histogram + client completion,
-  // with the kDurable and kAck trace stamps. `acked_inline` is true on
-  // the executor's inline-ack fast path, false on the ack daemon.
-  void FinalizeDurable(DoraTxn* dtxn, bool acked_inline);
+  // CommitFinalize + counters + latency histogram, with the kDurable and
+  // kAck trace stamps. Returns the client's status. `acked_inline` is true
+  // when no durable wait was needed (FinishTxn), false after the client's
+  // wait (AwaitDurable).
+  Status FinalizeDurable(DoraTxn* dtxn, bool acked_inline);
 
   struct TableGroup {
     TableId table;
@@ -280,12 +273,11 @@ class DoraEngine {
   std::vector<std::unique_ptr<TxnArena>> arenas_;
   std::atomic<uint64_t> next_client_slot_{0};
 
-  std::vector<std::unique_ptr<AckShard>> ack_shards_;
-
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> aborted_{0};
   std::atomic<uint64_t> pipelined_{0};
   std::atomic<uint64_t> acked_inline_{0};
+  std::atomic<uint64_t> inline_{0};
 
   // Metrics-registry callback tokens (registered by Start, released by
   // Stop — the callbacks read this engine's executors, so they must not

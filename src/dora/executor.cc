@@ -5,10 +5,22 @@
 #include "dora/dora_engine.h"
 #include "dora/ticket.h"
 #include "obs/trace.h"
+#include "util/spinlock.h"
 #include "util/thread_pool.h"
 
 namespace doradb {
 namespace dora {
+
+namespace {
+
+// How long an executor woken while a guest holds its baton yields before
+// it sleeps on the baton word.
+constexpr double kBatonSpinUs = 30.0;
+// How long a would-be guest spins on a baton another guest holds before it
+// dispatches instead.
+constexpr double kGuestWaitUs = 10.0;
+
+}  // namespace
 
 Executor::Executor(DoraEngine* engine, Database* db, TableId table,
                    uint32_t index_in_table, uint32_t global_index)
@@ -85,18 +97,137 @@ void Executor::Loop() {
       continue;
     }
     if (stop_seen_) {
-      hb_ = nullptr;
+      hb_ = nullptr;  // exits holding the baton: no guest after stop
       return;
     }
-    // Nothing runnable anywhere: park. With parked actions present, wake
-    // periodically to expire stale waits (cross-graph local-lock deadlock
-    // resolution); otherwise sleep until a producer pushes.
+    // Nothing runnable anywhere: free the baton (guests may run meanwhile)
+    // and sleep. With parked actions present, wake periodically to expire
+    // stale waits (cross-graph local-lock deadlock resolution); otherwise
+    // sleep until a producer pushes. The inbox is left undrained until the
+    // baton is back, so a waiting message keeps new guests out.
+    const int64_t timeout_us = locks_.num_parked() != 0 ? 20000 : -1;
     hb->SetStage("park");
     hb->SetIdle(true);
-    chain = inbox_.Park(locks_.num_parked() != 0 ? 20000 : -1);
+    baton_.store(kFree, std::memory_order_release);
+    inbox_.Await(timeout_us);
+    TakeBaton();
     hb->SetIdle(false);
-    if (chain != nullptr) ProcessInbox(chain);
   }
+}
+
+void Executor::TakeBaton() {
+  uint32_t s = kFree;
+  if (baton_.compare_exchange_strong(s, kExecutor, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+    return;
+  }
+  // A guest is mid-session: one transaction's admission, body and commit
+  // append, a few microseconds. The push that woke this thread already
+  // paid one futex wake; yield the session out rather than pay a second,
+  // and sleep on the word only past the bound.
+  const uint64_t spin_until =
+      Cycles::Now() +
+      static_cast<uint64_t>(kBatonSpinUs * 1000.0 * Cycles::PerNanosecond());
+  for (;;) {
+    s = baton_.load(std::memory_order_acquire);
+    if (s == kExecutor) return;  // handed over by a releasing guest
+    if (s == kFree) {
+      if (baton_.compare_exchange_weak(s, kExecutor,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+        return;
+      }
+      continue;
+    }
+    if (Cycles::Now() < spin_until) {
+      sched_yield();
+      continue;
+    }
+    if (s == kGuest &&
+        !baton_.compare_exchange_weak(s, kGuestExecWaiting,
+                                      std::memory_order_relaxed)) {
+      continue;
+    }
+    detail::FutexWait(&baton_, kGuestExecWaiting, /*timeout_us=*/-1);
+  }
+}
+
+void Executor::ReleaseGuestBaton() {
+  uint32_t s = kGuest;
+  if (baton_.compare_exchange_strong(s, kFree, std::memory_order_release,
+                                     std::memory_order_relaxed)) {
+    return;
+  }
+  // kGuestExecWaiting: hand the baton straight to the sleeping executor,
+  // so a following guest cannot overtake it.
+  baton_.store(kExecutor, std::memory_order_release);
+  detail::FutexWake(&baton_);
+}
+
+bool Executor::RunAsGuest(DoraTxn* t) {
+  if (!inbox_.Idle()) return false;
+  // Another guest's session is a few microseconds: wait it out while
+  // nothing is queued for the executor, rather than dispatch and wake the
+  // executor only to wait for the same baton. The executor's own hold, or
+  // a queued message, sends this client the dispatch way at once.
+  uint32_t s = kFree;
+  uint64_t give_up = 0;
+  while (!baton_.compare_exchange_weak(s, kGuest, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+    if (s == kFree) continue;  // spurious failure
+    if (s != kGuest || !inbox_.Idle()) return false;
+    const uint64_t now = Cycles::Now();
+    if (give_up == 0) {
+      give_up = now + static_cast<uint64_t>(kGuestWaitUs * 1000.0 *
+                                            Cycles::PerNanosecond());
+    } else if (now >= give_up) {
+      return false;
+    }
+    CpuRelax();
+    s = kFree;
+  }
+  const bool metrics = obs::MetricsEnabled();
+  const uint64_t t0 = metrics ? Cycles::Now() : 0;
+  // The session appends (body records, commit record) to this executor's
+  // log partition, exactly as the executor thread would.
+  db_->log_manager()->BindThisThread(global_index_);
+  const uint64_t id = t->txn()->id();
+  obs::CommitTracer::Stamp(id, obs::TraceStage::kEnqueue);
+  obs::CommitTracer::Stamp(id, obs::TraceStage::kDrain);
+  guest_txn_ = t;
+  guest_finish_ = false;
+  guest_parked_ = false;
+  for (Action* a : t->phase_actions[0]) {
+    a->owner = this;
+    a->ticket = 0;
+    AdmitAction(a);
+  }
+  // Every action ran here: commit (CommitAsync, horizon raise) before any
+  // lock goes, then release the locks locally (ReleaseLocks). Whatever
+  // arrived in the inbox meanwhile is left to the executor it woke.
+  if (guest_finish_) {
+    ScopedTimeClass timer(TimeClass::kDoraRvp);
+    engine_->FinishTxn(t, this);
+  }
+  guest_txn_ = nullptr;
+  const bool parked = guest_parked_;
+  if (metrics) {
+    busy_cycles_.fetch_add(Cycles::Now() - t0, std::memory_order_relaxed);
+  }
+  ReleaseGuestBaton();
+  // The executor may be asleep without a timeout, which would leave the
+  // parked action outside the §4.2.3 expiry check: wake it to re-park
+  // with one.
+  if (parked && !wake_pending_.exchange(true, std::memory_order_acq_rel)) {
+    PushToInbox(&wake_msg_);
+  }
+  return true;
+}
+
+void Executor::ReleaseLocks(DoraTxn* t) {
+  runnable_.clear();
+  locks_.ReleaseAll(t, &runnable_);
+  RunRunnable();
 }
 
 void Executor::Classify(MpscNode* chain) {
@@ -141,6 +272,10 @@ void Executor::Classify(MpscNode* chain) {
       case InboxEntry::Kind::kStop:
         stop_seen_ = true;
         break;
+      case InboxEntry::Kind::kWake:
+        // The node is out of the queue: a later guest may push it again.
+        wake_pending_.store(false, std::memory_order_release);
+        break;
     }
     chain = next;
   }
@@ -180,11 +315,8 @@ bool Executor::ProcessInbox(MpscNode* chain) {
     // local locks and serially execute any actions that become runnable.
     if (!comps_.empty()) {
       did = true;
-      for (size_t i = 0; i < comps_.size(); ++i) {
-        DoraTxn* t = comps_[i];
-        runnable_.clear();
-        locks_.ReleaseAll(t, &runnable_);
-        RunRunnable();
+      for (DoraTxn* t : comps_) {
+        ReleaseLocks(t);
         t->Unref();  // completion message's reference
       }
       comps_.clear();
@@ -236,7 +368,11 @@ void Executor::AdmitAction(Action* a) {
     engine_->Redispatch(a);
     return;
   }
-  if (locks_.TryAcquire(a)) ExecuteGranted(a);
+  if (locks_.TryAcquire(a)) {
+    ExecuteGranted(a);
+  } else if (guest_txn_ != nullptr) {
+    guest_parked_ = true;
+  }
   // else parked: a Release will hand it back via `runnable`.
 }
 
@@ -281,7 +417,7 @@ void Executor::ExecuteGranted(Action* a) {
   if (!dtxn->aborted() && a->body) {
     // Publish the stage so a body that never returns shows up in the
     // watchdog's per-thread table as stalled-in-execute.
-    if (hb_ != nullptr) hb_->SetStage("execute");
+    if (hb_ != nullptr && guest_txn_ == nullptr) hb_->SetStage("execute");
     ActionEnv env{db_, dtxn->txn(), dtxn, this};
     ScopedTimeClass work(TimeClass::kWork);
     const Status s = a->body(env);
@@ -297,7 +433,14 @@ void Executor::ReportToRvp(Action* a) {
   Rvp& rvp = dtxn->rvps[a->phase];
   ScopedTimeClass timer(TimeClass::kDoraRvp);
   if (rvp.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  // This executor zeroed the RVP: it initiates the next phase, or the
+  // A guest finishes its own one-phase transaction once its admission
+  // loop is done (RunAsGuest), so the lock release cannot nest inside a
+  // RunRunnable pass.
+  if (dtxn == guest_txn_) {
+    guest_finish_ = true;
+    return;
+  }
+  // This thread zeroed the RVP: it initiates the next phase, or the
   // commit/abort if this was the terminal RVP (or the txn aborted).
   const bool terminal = a->phase + 1 >= dtxn->num_phases();
   if (terminal || dtxn->aborted()) {

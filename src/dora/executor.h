@@ -15,6 +15,12 @@
 // ticketed actions are deferred until the published horizon covers them
 // and then admitted in ticket order, preserving the §4.2.3 atomic-enqueue
 // guarantee without latching any queue.
+//
+// Baton: DORA needs one thread at a time per dataset (§4.1), not always
+// the same thread. An atomic ownership word says who may touch this
+// executor's state (lock table, runnable list): the executor thread, or a
+// guest — a client running its single-executor transaction inline while
+// the executor sleeps (RunAsGuest, src/dora/README.md "Guest execution").
 
 #ifndef DORADB_DORA_EXECUTOR_H_
 #define DORADB_DORA_EXECUTOR_H_
@@ -51,9 +57,25 @@ class Executor {
   uint32_t global_index() const { return global_index_; }
 
   // The only producer path into the lock-free inbox (Action /
-  // CompletionMsg / StopMsg nodes): stamps the entry's enqueue timestamp
-  // and the depth accounting (metrics on), then pushes.
+  // CompletionMsg / StopMsg / WakeMsg nodes): stamps the entry's enqueue
+  // timestamp and the depth accounting (metrics on), then pushes.
   void PushToInbox(InboxEntry* entry);
+
+  // Client side of guest execution: if the inbox is idle and the baton is
+  // free, take it and run `t`'s only phase on the calling thread — the
+  // admission checks, the bodies, and (when every action ran) the commit
+  // through DoraEngine::FinishTxn with a local lock release. Returns false,
+  // having touched nothing, when a message is queued, the executor holds
+  // the baton, or another guest still holds it after a short wait; the
+  // caller then dispatches as usual. An action that parks stays in the
+  // lock table, and the transaction finishes on the executor like a
+  // dispatched one.
+  bool RunAsGuest(DoraTxn* t);
+
+  // Baton holder only (a completion message, or FinishTxn on a guest):
+  // release `t`'s local locks here and run the actions that become
+  // runnable.
+  void ReleaseLocks(DoraTxn* t);
 
   // --- stats ---
   uint64_t actions_executed() const {
@@ -86,9 +108,9 @@ class Executor {
                       static_cast<int64_t>(inbox_items());
     return d > 0 ? d : 0;
   }
-  // Cycles spent inside ProcessInbox batches that did work (metrics on).
-  // busy_cycles delta / wall cycles delta = the executor's busy fraction
-  // over a window; the load heatmap sweeps this.
+  // Cycles spent inside ProcessInbox batches that did work, plus guest
+  // sessions (metrics on). busy_cycles delta / wall cycles delta = the
+  // executor's busy fraction over a window; the load heatmap sweeps this.
   uint64_t busy_cycles() const {
     return busy_cycles_.load(std::memory_order_relaxed);
   }
@@ -97,8 +119,21 @@ class Executor {
   const Histogram* queue_wait_hist() const { return queue_wait_hist_; }
 
  private:
+  // Baton states. The executor holds it whenever it processes anything and
+  // frees it only to sleep on an empty inbox.
+  static constexpr uint32_t kFree = 0;
+  static constexpr uint32_t kExecutor = 1;
+  static constexpr uint32_t kGuest = 2;
+  // A guest holds it and the executor sleeps on the word: the guest's
+  // release hands the baton straight to the executor and wakes it.
+  static constexpr uint32_t kGuestExecWaiting = 3;
 
   void Loop();
+  // Executor side: take the baton back after the inbox wait, waiting out a
+  // guest's session.
+  void TakeBaton();
+  // Guest side: give the baton back (to the executor if it is waiting).
+  void ReleaseGuestBaton();
   // Split a drained chain into completions / ready / deferred.
   void Classify(MpscNode* chain);
   // Completions first (paper steps 11-12), then unticketed actions FIFO,
@@ -125,6 +160,15 @@ class Executor {
 
   MpscQueue inbox_;
   StopMsg stop_msg_;
+  // A guest that parked an action pushes wake_msg_ so the executor
+  // re-parks with the expiry timeout; wake_pending_ keeps the node from
+  // being queued twice (cleared when the executor drains it).
+  WakeMsg wake_msg_;
+  std::atomic<bool> wake_pending_{false};
+
+  // Held by the executor until its thread first sleeps (so no guest runs
+  // before Start, or after the executor exits on stop).
+  std::atomic<uint32_t> baton_{kExecutor};
 
   // Consumer-thread state (touched only by Loop()).
   bool stop_seen_ = false;
@@ -133,7 +177,11 @@ class Executor {
   std::vector<Action*> deferred_;  // ticketed, sorted by ticket (stable)
   std::vector<Action*> runnable_;
 
-  LocalLockTable locks_;  // executor-private: no latching
+  // Baton-holder state: the executor thread, or a guest in its session.
+  LocalLockTable locks_;  // no latching: the baton serializes access
+  DoraTxn* guest_txn_ = nullptr;  // the guest's own txn; null = no guest
+  bool guest_finish_ = false;     // its terminal RVP reached zero
+  bool guest_parked_ = false;     // an action it admitted parked here
 
   std::thread thread_;
   std::atomic<uint64_t> actions_executed_{0};
@@ -144,7 +192,8 @@ class Executor {
   std::atomic<uint64_t> busy_cycles_{0};
 
   // Watchdog heartbeat, registered for the lifetime of Loop(). Only this
-  // thread writes through it; the watchdog reads via table snapshots.
+  // thread writes through it (never a guest); the watchdog reads via
+  // table snapshots.
   obs::Heartbeats::Handle* hb_ = nullptr;
 
   // Registry-owned instrumentation (resolved once at construction; hot

@@ -129,8 +129,9 @@ class Database {
 
   // The "txn.commit_latency_ns" histogram (shared, registry-owned). The
   // non-pipelined paths record into it from Commit(); DORA's pipelined
-  // finalize sites (inline ack, ack daemon) record their own — exactly one
-  // record per committed transaction either way.
+  // finalize (DoraEngine::FinalizeDurable, with or without the client's
+  // durable wait) records its own — exactly one record per committed
+  // transaction either way.
   static Histogram* CommitLatencyHistogram();
 
   // Port the live metrics endpoint bound, or -1 when disabled / failed.

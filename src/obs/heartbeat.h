@@ -1,12 +1,11 @@
 // Per-thread heartbeat table: the watchdog's view of every engine
-// background thread (executors, log flushers, checkpoint coordinator,
-// commit-ack daemons).
+// background thread (executors, log flushers, checkpoint coordinator).
 //
 // Each long-running loop registers a named Handle and calls Beat() once
 // per iteration — one relaxed tsc store, cheap enough for the executor
 // drain loop. Threads that block *by design* (an executor parked on an
-// empty inbox, an ack daemon waiting on its condvar) mark themselves
-// idle first so the watchdog never confuses "no work" with "stuck".
+// empty inbox, a flusher napping between ticks) mark themselves idle
+// first so the watchdog never confuses "no work" with "stuck".
 // SetStage() publishes a static string naming what the thread is doing
 // right now; it is read by the watchdog for the blackbox per-thread
 // table, so stage strings must have static storage duration.

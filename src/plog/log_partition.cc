@@ -24,7 +24,7 @@ Lsn LogPartition::Append(LogRecord* rec) {
   return gsn;
 }
 
-void LogPartition::Flush(bool force_watermark) {
+void LogPartition::Flush(bool force_watermark, Lsn target) {
   // Histogram records happen after stable_mu_ drops: commit acks gate on
   // this mutex, so any cycles spent inside it (including the rdtsc pair)
   // stretch the serialized flush section for every waiter. fsync timing
@@ -37,6 +37,10 @@ void LogPartition::Flush(bool force_watermark) {
   {
     std::lock_guard<std::mutex> g(stable_mu_);
     if (killed_ || poisoned_.load(std::memory_order_relaxed)) return;
+    if (target != kInvalidLsn &&
+        watermark_.load(std::memory_order_relaxed) >= target) {
+      return;  // follower: the flush it queued behind covered it
+    }
     std::vector<uint8_t>& pending = spare_;
     pending.clear();
     Lsn horizon, batch_gsn;

@@ -67,7 +67,13 @@ class LogPartition {
   // bounded horizon lag (waiters force through it on demand) for not
   // fsyncing every quiet partition on every tick — it can never
   // un-acknowledge a commit.
-  void Flush(bool force_watermark = true);
+  //
+  // `target` (waiters only; kInvalidLsn = none) is the GSN the caller needs
+  // stable. Flushes serialize on stable_mu_, so a caller that queued behind
+  // another flush re-checks once it holds the mutex and returns at once if
+  // the watermark already covers `target` — the leader's AppendBatch and
+  // Sync covered it, and a second round would only delay the next waiter.
+  void Flush(bool force_watermark = true, Lsn target = kInvalidLsn);
 
   // All records of this partition with GSN <= watermark() are stable.
   Lsn watermark() const { return watermark_.load(std::memory_order_acquire); }

@@ -152,7 +152,7 @@ Status PartitionedLogManager::WaitFlushed(Lsn lsn) {
   for (;;) {
     for (auto& p : partitions_) {
       if (p->watermark() < lsn) {
-        p->Flush();
+        p->Flush(/*force_watermark=*/true, lsn);
         // A poisoned partition's watermark is frozen: if it still gates
         // `lsn`, the global horizon can never get there — bail with the
         // typed error rather than spin on an unreachable durability point.
@@ -174,7 +174,7 @@ Status PartitionedLogManager::WaitFlushedFrom(uint32_t partition_hint,
   // header sync (idle_sync_skip_ticks), so a waiter must force laggards
   // through rather than poll the horizon forever.
   LogPartition* own = partitions_[partition_hint % partitions_.size()].get();
-  if (own->watermark() < lsn) own->Flush();
+  if (own->watermark() < lsn) own->Flush(/*force_watermark=*/true, lsn);
   return WaitFlushed(lsn);
 }
 

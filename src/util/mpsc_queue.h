@@ -145,11 +145,20 @@ class MpscQueue {
   // timeout sleeps indefinitely; otherwise returns nullptr after
   // `timeout_us` with nothing arrived.
   MpscNode* Park(int64_t timeout_us) {
+    return Await(timeout_us) ? TryDrain() : nullptr;
+  }
+
+  // Consumer only: Park without the drain. Returns true once the queue
+  // holds a node (left in place), false after `timeout_us` with nothing
+  // arrived. A consumer that must acquire something else before it may
+  // process its messages sleeps here, so producers' nodes stay visible
+  // (Idle() false) until it drains them.
+  bool Await(int64_t timeout_us) {
     uintptr_t expected = kEmpty;
     if (!head_.compare_exchange_strong(expected, kParked,
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-      return TryDrain();  // raced with a push: work arrived
+      return true;  // raced with a push: work arrived
     }
     const bool bounded = timeout_us >= 0;
     const uint64_t deadline =
@@ -169,7 +178,7 @@ class MpscQueue {
           if (head_.compare_exchange_strong(parked, kEmpty,
                                             std::memory_order_acq_rel,
                                             std::memory_order_relaxed)) {
-            return nullptr;  // retracted the sentinel: clean timeout
+            return false;  // retracted the sentinel: clean timeout
           }
           break;  // a producer just swapped a node in
         }
@@ -177,7 +186,14 @@ class MpscQueue {
       }
       detail::FutexWait(&seq_, s, remain);
     }
-    return TryDrain();
+    return true;
+  }
+
+  // Any thread: true when no node is queued (the head is empty or the
+  // parked sentinel). A snapshot — a push may land right after.
+  bool Idle() const {
+    const uintptr_t h = head_.load(std::memory_order_acquire);
+    return h == kEmpty || h == kParked;
   }
 
   // Producer-side syscall count (pushes that found the consumer parked).

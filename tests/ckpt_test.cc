@@ -1,7 +1,7 @@
 // Checkpoint subsystem (src/ckpt/) tests: partition-local fuzzy
 // checkpoints, checkpoint-driven log truncation, bounded restart, the
-// per-record CRC (corrupted-middle detection), and the DORA inline
-// commit-ack fast path.
+// per-record CRC (corrupted-middle detection), and the DORA pipelined
+// commit finalized without a durable wait.
 
 #include <algorithm>
 #include <atomic>

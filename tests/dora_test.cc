@@ -1,10 +1,16 @@
 // Tests for the DORA core: local lock table semantics, routing rules, flow
 // graph execution through executors and RVPs, abort propagation, the
-// deadlock-avoidance enqueue protocol, rebalancing, and pipelined commit.
+// deadlock-avoidance enqueue protocol, rebalancing, pipelined commit, and
+// serializability with guest execution.
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -677,6 +683,247 @@ TEST_F(DoraMixTest, ReadOnlyTransactionsLeaveNothingInTheLog) {
     EXPECT_EQ(driver.stats().losers, 0u);
     EXPECT_EQ(driver.stats().records_scanned, 0u);
   }
+}
+
+// ------------------------------------------- serializability under guests
+
+// Serializability stress over guest execution. Counter rows hold a version
+// number; every committed write installs version + 1. Four clients mix
+// single-key increments (guest-eligible), two-key transfers across both
+// executors (ticketed; one in three aborts by design while its other action
+// may already have written, so a dirty read would surface), and read-only
+// two-key audits (across or within one executor), while a fifth thread
+// migrates the routing rule twice (a split, then a move back). Every committed transaction records
+// the (key, version) pairs it read and wrote. Then:
+//   * each key's committed writes are versions 1..final, one writer each,
+//     and every read saw version 0 or a committed write;
+//   * the serialization graph over ww, wr and rw edges is acyclic;
+//   * some commits ran as guests (dora.txns.inline > 0).
+class GuestSerializabilityTest : public ::testing::Test {
+ protected:
+  // What one committed transaction read and wrote: (key slot, version).
+  struct Footprint {
+    std::vector<std::pair<size_t, uint64_t>> reads, writes;
+  };
+
+  void SetUp() override {
+    Database::Options dbo = SmallDb();
+    dbo.log_backend = LogBackendKind::kPartitioned;
+    dbo.log_partitions = 2;
+    db_ = std::make_unique<Database>(dbo);
+    ASSERT_TRUE(db_->catalog()->CreateTable("c", &table_).ok());
+    DoraEngine::Options eo;
+    eo.pipelined_commit = true;
+    eo.local_wait_timeout_us = 20000;
+    engine_ = std::make_unique<DoraEngine>(db_.get(), eo);
+    engine_->RegisterTable(table_, 100, 2);  // [0,50) -> 0, [50,100) -> 1
+    engine_->Start();
+    for (size_t i = 0; i < kKeys.size(); ++i) {
+      auto dtxn = engine_->BeginTxn();
+      FlowGraph g;
+      g.AddPhase().AddAction(table_, kKeys[i], LocalMode::kX,
+                             [&](ActionEnv& env) {
+        return env.db->Insert(env.txn, table_, Encode(0), &rids_[i],
+                              AccessOptions::RidOnly());
+      });
+      ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+    }
+  }
+  void TearDown() override {
+    if (engine_) engine_->Stop();
+  }
+
+  static std::string Encode(uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llu",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf, 16);
+  }
+  Status ReadVersion(ActionEnv& env, size_t slot, uint64_t* v) {
+    std::string val;
+    DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_, rids_[slot], &val,
+                                      AccessOptions::NoCc()));
+    *v = std::stoull(val);
+    return Status::OK();
+  }
+  // Read the slot's version into `*read` and install the next one.
+  Status Bump(ActionEnv& env, size_t slot, uint64_t* read) {
+    DORADB_RETURN_NOT_OK(ReadVersion(env, slot, read));
+    return env.db->Update(env.txn, table_, rids_[slot], Encode(*read + 1),
+                          AccessOptions::NoCc());
+  }
+
+  // One client's transaction stream; committed footprints go to `out`.
+  void Client(uint64_t seed, int txns, std::vector<Footprint>* out) {
+    Rng rng(seed);
+    for (int i = 0; i < txns; ++i) {
+      const uint64_t kind = rng.UniformInt(uint64_t{0}, uint64_t{9});
+      // Slots 0,1 start on executor 0; slots 2,3 on executor 1.
+      const size_t lo = rng.UniformInt(size_t{0}, size_t{1});
+      const size_t hi = 2 + rng.UniformInt(size_t{0}, size_t{1});
+      uint64_t va = 0, vb = 0;
+      Footprint f;
+      auto dtxn = engine_->BeginTxn();
+      FlowGraph g;
+      g.AddPhase();
+      if (kind < 5) {  // increment one key
+        const size_t k = rng.UniformInt(size_t{0}, kKeys.size() - 1);
+        g.AddAction(table_, kKeys[k], LocalMode::kX,
+                    [&, k](ActionEnv& env) { return Bump(env, k, &va); });
+        if (engine_->Run(dtxn, std::move(g)).ok()) {
+          f.reads = {{k, va}};
+          f.writes = {{k, va + 1}};
+          out->push_back(f);
+        }
+      } else if (kind < 8) {  // transfer across the two executors
+        const bool fail = kind == 7;
+        g.AddAction(table_, kKeys[lo], LocalMode::kX,
+                    [&, lo](ActionEnv& env) { return Bump(env, lo, &va); });
+        g.AddAction(table_, kKeys[hi], LocalMode::kX,
+                    [&, hi, fail](ActionEnv& env) -> Status {
+                      if (fail) return Status::Aborted("transfer refused");
+                      return Bump(env, hi, &vb);
+                    });
+        const Status st = engine_->Run(dtxn, std::move(g));
+        EXPECT_TRUE(!fail || !st.ok());
+        if (st.ok()) {
+          f.reads = {{lo, va}, {hi, vb}};
+          f.writes = {{lo, va + 1}, {hi, vb + 1}};
+          out->push_back(f);
+        }
+      } else {  // audit two keys: across executors, or both on one
+        const size_t a = lo;
+        const size_t b = kind == 8 ? hi : 1 - lo;
+        g.AddAction(table_, kKeys[a], LocalMode::kS,
+                    [&, a](ActionEnv& env) { return ReadVersion(env, a, &va); });
+        g.AddAction(table_, kKeys[b], LocalMode::kS,
+                    [&, b](ActionEnv& env) { return ReadVersion(env, b, &vb); });
+        if (engine_->Run(dtxn, std::move(g)).ok()) {
+          f.reads = {{a, va}, {b, vb}};
+          out->push_back(f);
+        }
+      }
+    }
+  }
+
+  // Split executor 0's range, moving [25,50) to executor 1, then move it
+  // back. A fence that loses a wait-for cycle is expired; retry it.
+  void Migrate() {
+    const std::vector<std::vector<uint32_t>> owners = {{0, 1, 1}, {0, 0, 1}};
+    for (const auto& own : owners) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      Status s;
+      for (int attempt = 0; attempt < 50; ++attempt) {
+        auto rule = std::make_shared<RoutingRule>();
+        rule->version = engine_->routing_of(table_)->Current()->version + 1;
+        rule->boundaries = {25, 50};
+        rule->executor_of_dataset = own;
+        s = engine_->MigrateRoutingRule(table_, rule);
+        if (s.ok()) break;
+      }
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+
+  static constexpr std::array<uint64_t, 4> kKeys = {10, 30, 60, 80};
+  std::unique_ptr<Database> db_;
+  TableId table_ = 0;
+  std::unique_ptr<DoraEngine> engine_;
+  std::array<Rid, 4> rids_;
+};
+
+TEST_F(GuestSerializabilityTest, VersionChainsAndSerializationGraphHold) {
+  constexpr int kClients = 4, kTxns = 400;
+  std::vector<std::vector<Footprint>> per_client(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back(
+        [&, c] { Client(uint64_t(c) + 101, kTxns, &per_client[c]); });
+  }
+  std::thread migrator([&] { Migrate(); });
+  for (auto& t : threads) t.join();
+  migrator.join();
+  EXPECT_EQ(engine_->RouteIndex(table_, kKeys[1]), 0u);
+
+  std::vector<Footprint> txns;
+  for (auto& v : per_client) {
+    for (auto& f : v) txns.push_back(std::move(f));
+  }
+  ASSERT_GT(txns.size(), size_t(kClients * kTxns / 2));
+
+  // Version chains: one committed writer per (key, version), versions
+  // 1..final with no gap, final == the stored row.
+  std::map<std::pair<size_t, uint64_t>, size_t> writer;
+  for (size_t t = 0; t < txns.size(); ++t) {
+    for (const auto& w : txns[t].writes) {
+      const auto [it, fresh] = writer.emplace(w, t);
+      EXPECT_TRUE(fresh) << "key slot " << w.first << " version " << w.second
+                         << " written by two committed transactions";
+    }
+  }
+  for (size_t k = 0; k < kKeys.size(); ++k) {
+    std::string val;
+    ASSERT_TRUE(db_->catalog()->Heap(table_)->Get(rids_[k], &val).ok());
+    const uint64_t final_version = std::stoull(val);
+    uint64_t n = 0;
+    for (const auto& [kv, t] : writer) {
+      if (kv.first != k) continue;
+      ++n;
+      EXPECT_EQ(kv.second, n) << "gap in key slot " << k << "'s versions";
+    }
+    EXPECT_EQ(n, final_version) << "key slot " << k;
+  }
+  for (const Footprint& f : txns) {
+    for (const auto& r : f.reads) {
+      EXPECT_TRUE(r.second == 0 || writer.count(r) != 0)
+          << "read of key slot " << r.first << " version " << r.second
+          << ", which no committed transaction wrote";
+    }
+  }
+
+  // Direct serialization graph: ww (writer of v -> writer of v+1), wr
+  // (writer of v -> reader of v), rw (reader of v -> writer of v+1).
+  std::vector<std::set<size_t>> out(txns.size());
+  auto edge = [&](size_t from, size_t to) {
+    if (from != to) out[from].insert(to);
+  };
+  auto writer_of = [&](size_t k, uint64_t v) -> int64_t {
+    auto it = writer.find({k, v});
+    return it == writer.end() ? -1 : static_cast<int64_t>(it->second);
+  };
+  for (size_t t = 0; t < txns.size(); ++t) {
+    for (const auto& [k, v] : txns[t].writes) {
+      if (const int64_t p = writer_of(k, v - 1); p >= 0) edge(size_t(p), t);
+    }
+    for (const auto& [k, v] : txns[t].reads) {
+      if (const int64_t p = writer_of(k, v); p >= 0) edge(size_t(p), t);
+      if (const int64_t n = writer_of(k, v + 1); n >= 0) edge(t, size_t(n));
+    }
+  }
+  // Kahn's algorithm: every node must come off the queue.
+  std::vector<size_t> indegree(txns.size(), 0);
+  for (const auto& targets : out) {
+    for (size_t to : targets) ++indegree[to];
+  }
+  std::vector<size_t> ready;
+  for (size_t t = 0; t < txns.size(); ++t) {
+    if (indegree[t] == 0) ready.push_back(t);
+  }
+  size_t ordered = 0;
+  while (!ready.empty()) {
+    const size_t t = ready.back();
+    ready.pop_back();
+    ++ordered;
+    for (size_t to : out[t]) {
+      if (--indegree[to] == 0) ready.push_back(to);
+    }
+  }
+  EXPECT_EQ(ordered, txns.size()) << "the serialization graph has a cycle";
+
+  const obs::MetricsSnapshot snap = db_->Metrics();
+  const obs::MetricValue* inl = snap.Find("dora.txns.inline");
+  ASSERT_NE(inl, nullptr);
+  EXPECT_GT(inl->value, 0);
 }
 
 }  // namespace

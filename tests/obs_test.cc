@@ -2,10 +2,11 @@
 // percentile interpolation, sharded-counter aggregation under concurrency,
 // registry snapshot/delta semantics, JSON round-tripping, the commit-path
 // tracer (ring wraparound + the seven lifecycle spans over a real DORA
-// run, synchronous and pipelined commit), and the background stats
-// reporter's output format.
+// run: synchronous, pipelined and guest commit), the background stats
+// reporter's output format, and the heatmap's view of guest work.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "dora/dora_engine.h"
+#include "obs/heatmap.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
@@ -260,36 +262,56 @@ uint64_t HistCount(const MetricsSnapshot& snap, const std::string& name) {
 
 // One committed DORA transaction must show every lifecycle span, in order:
 // dispatch → enqueue → drain → execute → commit-append → durable → ack.
-// Parameterized over pipelined commit: the synchronous arm stamps durable
-// and ack in FinishTxn, the pipelined arm in FinalizeDurable (inline or on
-// the ack daemon).
-class CommitPathTraceTest : public ::testing::TestWithParam<bool> {};
+// Three commit paths: synchronous (FinishTxn stamps durable and ack),
+// pipelined through the executor's inbox (a whole-dataset action is never
+// run inline), and pipelined on the client's thread as a guest of the idle
+// executor (a single-action graph).
+enum class CommitPath { kSynchronous, kPipelined, kGuest };
+
+class CommitPathTraceTest : public ::testing::TestWithParam<CommitPath> {};
 
 TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
+  const CommitPath path = GetParam();
   Database::Options opts;
   opts.buffer_frames = 1024;
   Database db(opts);
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
   dora::DoraEngine::Options eopts;
-  eopts.pipelined_commit = GetParam();
+  eopts.pipelined_commit = path != CommitPath::kSynchronous;
   dora::DoraEngine engine(&db, eopts);
   engine.RegisterTable(table, 100, 2);
   engine.Start();
 
+  auto insert = [table](dora::ActionEnv& env) {
+    Rid rid;
+    return env.db->Insert(env.txn, table, "payload", &rid,
+                          AccessOptions::RidOnly());
+  };
   const MetricsSnapshot before = db.Metrics();
   CommitTracer::Enable();
-  auto dtxn = engine.BeginTxn();
-  const uint64_t txn_id = dtxn->txn()->id();
-  dora::FlowGraph g;
-  g.AddPhase().AddAction(table, 5, dora::LocalMode::kX,
-                         [&](dora::ActionEnv& env) {
-                           Rid rid;
-                           return env.db->Insert(env.txn, table, "payload",
-                                                 &rid,
-                                                 AccessOptions::RidOnly());
-                         });
-  ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+  uint64_t txn_id = 0;
+  // A guest needs the executor asleep with its baton free, which it is
+  // only once its thread first parked: retry until a commit ran inline.
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const uint64_t inline_before = engine.txns_inline();
+    auto dtxn = engine.BeginTxn();
+    txn_id = dtxn->txn()->id();
+    dora::FlowGraph g;
+    if (path == CommitPath::kGuest) {
+      g.AddPhase().AddAction(table, 5, dora::LocalMode::kX, insert);
+    } else {
+      g.AddPhase().AddWholeDatasetAction(table, 0, dora::LocalMode::kX,
+                                         insert);
+    }
+    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    if (path != CommitPath::kGuest) {
+      EXPECT_EQ(engine.txns_inline(), inline_before);
+      break;
+    }
+    if (engine.txns_inline() == inline_before + 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   const std::vector<TraceEvent> events = CommitTracer::Dump();
   const std::string text = CommitTracer::DumpText();
@@ -312,9 +334,14 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
       << "expected all seven spans, got:\n"
       << text;
   // Dump() sorts a transaction's events by time; the lifecycle must come
-  // out in pipeline order.
+  // out in pipeline order. A guest stamps every stage itself, in stage
+  // order; a dispatcher stamps enqueue after its pushes, so an executor
+  // may stamp drain first.
   for (size_t i = 1; i < mine.size(); ++i) {
     EXPECT_GE(mine[i]->tsc, mine[i - 1]->tsc);
+    if (path == CommitPath::kGuest) {
+      EXPECT_GT(mine[i]->stage, mine[i - 1]->stage) << text;
+    }
   }
   EXPECT_EQ(mine.front()->stage, TraceStage::kDispatch);
   EXPECT_EQ(mine.back()->stage, TraceStage::kAck);
@@ -324,14 +351,23 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
               std::string::npos);
   }
 
-  // The executors' drain histograms are the per-executor queue-wait
-  // signal (the heatmap reads them); the drain that served the action must
-  // have recorded into one of them.
-  uint64_t exec_samples = 0;
-  for (const std::string& name : exec_waits) {
-    exec_samples += HistCount(after, name) - HistCount(before, name);
+  if (path == CommitPath::kGuest) {
+    // The guest's commit is counted as inline, and it never went through
+    // an inbox.
+    const MetricValue* inl = after.Find("dora.txns.inline");
+    ASSERT_NE(inl, nullptr);
+    const MetricValue* inl0 = before.Find("dora.txns.inline");
+    EXPECT_EQ(inl->value - (inl0 == nullptr ? 0 : inl0->value), 1);
+  } else {
+    // The executors' drain histograms are the per-executor queue-wait
+    // signal (the heatmap reads them); the drain that served the action
+    // must have recorded into one of them.
+    uint64_t exec_samples = 0;
+    for (const std::string& name : exec_waits) {
+      exec_samples += HistCount(after, name) - HistCount(before, name);
+    }
+    EXPECT_GT(exec_samples, 0u);
   }
-  EXPECT_GT(exec_samples, 0u);
   // The tracer is the only stage stamper: no sampled stage-gap histograms.
   for (const MetricValue& m : after.metrics) {
     EXPECT_FALSE(m.name.rfind("prof.", 0) == 0) << m.name;
@@ -339,10 +375,77 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(CommitPaths, CommitPathTraceTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Pipelined" : "Synchronous";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    CommitPaths, CommitPathTraceTest,
+    ::testing::Values(CommitPath::kSynchronous, CommitPath::kPipelined,
+                      CommitPath::kGuest),
+    [](const ::testing::TestParamInfo<CommitPath>& info) {
+      switch (info.param) {
+        case CommitPath::kSynchronous:
+          return "Synchronous";
+        case CommitPath::kPipelined:
+          return "Pipelined";
+        case CommitPath::kGuest:
+          return "Guest";
+      }
+      return "";
+    });
+
+// The rebalance trigger reads only busy fractions, so an executor whose
+// load all runs inline (guests on the clients' threads) must still read
+// busy in the heatmap: guest sessions count as the executor's busy time.
+TEST(HeatmapTest, GuestSessionsCountAsExecutorBusy) {
+  Database::Options opts;
+  opts.buffer_frames = 1024;
+  Database db(opts);
+  TableId table;
+  ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
+  dora::DoraEngine::Options eopts;
+  eopts.pipelined_commit = true;
+  dora::DoraEngine engine(&db, eopts);
+  engine.RegisterTable(table, 100, 1);
+  engine.Start();
+  Rid rid;
+  auto run_one = [&] {
+    auto dtxn = engine.BeginTxn();
+    dora::FlowGraph g;
+    g.AddPhase().AddAction(table, 7, dora::LocalMode::kX,
+                           [&](dora::ActionEnv& env) {
+                             return env.db->Insert(env.txn, table, "row",
+                                                   &rid,
+                                                   AccessOptions::RidOnly());
+                           });
+    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+  };
+  // Until the executor first sleeps, its baton is not free.
+  for (int i = 0; i < 1000 && engine.txns_inline() == 0; ++i) {
+    run_one();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(engine.txns_inline(), 0u);
+
+  LoadHeatmap& heatmap = LoadHeatmap::Default();
+  heatmap.Sweep();  // primes this engine's source
+  const uint64_t inline_before = engine.txns_inline();
+  const uint64_t batches_before = engine.CollectInboxStats().batches;
+  constexpr int kTxns = 500;
+  for (int i = 0; i < kTxns; ++i) run_one();
+  heatmap.Sweep();
+  // Every transaction ran inline; the executor thread drained nothing.
+  EXPECT_EQ(engine.txns_inline() - inline_before, uint64_t(kTxns));
+  EXPECT_EQ(engine.CollectInboxStats().batches, batches_before);
+  const uint32_t exec = engine.AllExecutors().front()->global_index();
+  const HeatmapWindow w = heatmap.Latest();
+  bool found = false;
+  for (const ExecutorSample& row : w.rows) {
+    if (row.executor != exec) continue;
+    found = true;
+    EXPECT_GT(row.busy_frac, 0.0);
+    EXPECT_GT(row.drained_per_s, 0.0);
+  }
+  EXPECT_TRUE(found);
+  engine.Stop();
+}
 
 // ----------------------------------------------------------------- reporter
 

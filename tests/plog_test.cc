@@ -16,6 +16,7 @@
 #include "dora/dora_engine.h"
 #include "engine/database.h"
 #include "log/recovery.h"
+#include "plog/log_partition.h"
 #include "plog/partitioned_log_manager.h"
 #include "util/rng.h"
 
@@ -94,6 +95,37 @@ TEST(PlogTest, WaitFlushedCoversEveryPartition) {
   EXPECT_GE(log.flushed_lsn(), end)
       << "the horizon is the min over all partitions";
   EXPECT_EQ(log.ReadStable().size(), 2u);
+}
+
+// Flushes serialize on the partition's stable mutex. A waiter that queued
+// behind a flush which already covered its target must return without a
+// second AppendBatch or Sync: records buffered since stay buffered.
+TEST(PlogTest, CoveredFlushTargetLeavesNewRecordsBuffered) {
+  plog::GsnClock clock;
+  plog::LogPartition part(&clock);
+  LogRecord a;
+  a.type = LogType::kUpdate;
+  a.txn = 1;
+  a.after = "first";
+  const Lsn first = part.Append(&a);
+  part.Flush();
+  ASSERT_GE(part.watermark(), first);
+  const size_t stable = part.stable_size();
+  const Lsn mark = part.watermark();
+  const uint64_t flushes = part.flushes();
+
+  LogRecord b = a;
+  b.after = "second";
+  const Lsn second = part.Append(&b);
+  part.Flush(/*force_watermark=*/true, first);  // covered: a follower
+  EXPECT_EQ(part.stable_size(), stable);
+  EXPECT_EQ(part.watermark(), mark);
+  EXPECT_EQ(part.flushes(), flushes);
+
+  part.Flush(/*force_watermark=*/true, second);  // not covered: flushes
+  EXPECT_GT(part.stable_size(), stable);
+  EXPECT_GE(part.watermark(), second);
+  EXPECT_EQ(part.flushes(), flushes + 1);
 }
 
 TEST(PlogTest, DiscardLosesUnflushedOnly) {
