@@ -12,8 +12,6 @@
 //   DORADB_EXECUTORS      DORA executors per table   (default 1; rigs that
 //                         take an explicit executor count ignore this)
 //   DORADB_PIN            1 = pin executors to cores by partition index
-//   DORADB_PIPELINED      1 = pipelined commit / early lock release
-//                         (default 0)
 //
 // Skew / live-repartitioning knobs:
 //   DORADB_SKEW_THETA     >0: workload key picks (TM1 subscriber, TPC-B
@@ -134,7 +132,6 @@ inline plog::LogOptions LogOptionsFromEnv() {
 inline dora::DoraEngine::Options EngineOptionsFromEnv() {
   dora::DoraEngine::Options o;
   o.pin_threads = EnvU64("DORADB_PIN", 0) != 0;
-  o.pipelined_commit = EnvU64("DORADB_PIPELINED", 0) != 0;
   return o;
 }
 

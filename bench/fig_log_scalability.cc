@@ -1,8 +1,9 @@
 // Log scalability (the paper's §5.4 experiment): TPC-B — the
 // write-heaviest workload — run against the DORA engine with the central
 // WAL (one log partition every executor shares) versus the partitioned
-// WAL (one partition per executor + pipelined commit + early lock
-// release), sweeping the executor count.
+// WAL (one partition per executor), sweeping the executor count. Both
+// sweeps commit the same way (pipelined, with early lock release), so
+// they differ only in partition count.
 //
 // The paper observes that once DORA removes lock-manager contention, the
 // single latched log buffer "becomes the new bottleneck"; with one log
@@ -40,14 +41,8 @@ Point RunPoint(LogBackendKind backend, uint32_t account_executors) {
   const uint32_t total_executors = account_executors + 3;
   db_opts.log_partitions = total_executors;
 
-  dora::DoraEngine::Options engine_opts;
-  // The plog configuration also enables the commit pipeline (ELR, each
-  // client waiting for its own commit) — the central configuration is the
-  // paper's baseline commit path, blocking in WaitFlushed on the executor.
-  engine_opts.pipelined_commit = (backend == LogBackendKind::kPartitioned);
-
-  auto rig = MakeTpcbWith(db_opts, engine_opts, account_executors,
-                          /*other_executors=*/1);
+  auto rig = MakeTpcbWith(db_opts, dora::DoraEngine::Options(),
+                          account_executors, /*other_executors=*/1);
   ThreadStats::ResetAll();
   // Saturate the executor group: more clients than executors keeps every
   // queue non-empty so commit stalls show up as lost throughput.
@@ -111,15 +106,14 @@ void RunSweep(const char* name, LogBackendKind backend) {
 int main() {
   PrintHeader("Log scalability",
               "TPC-B writes: central WAL vs partitioned WAL (plog)");
-  RunSweep("central log (one shared partition latch, blocking commit)",
+  RunSweep("central log (one shared partition latch)",
            LogBackendKind::kCentral);
-  RunSweep("partitioned log (plog, pipelined commit + ELR)",
+  RunSweep("partitioned log (plog, one partition per executor)",
            LogBackendKind::kPartitioned);
   std::printf(
       "\nexpected shape: the central log's contention share grows with\n"
       "executor count (every executor funnels through one latch); plog's\n"
-      "stays ~zero because each executor appends to a private partition\n"
-      "and commits without blocking in WaitFlushed.\n");
+      "stays ~zero because each executor appends to a private partition.\n");
   BenchJson::Default().Emit("fig_log_scalability");
   return 0;
 }

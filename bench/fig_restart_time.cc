@@ -84,11 +84,9 @@ Row RunMode(const char* name, bool enabled) {
   }
   const bool file_backed = !db_opts.data_dir.empty();
 
-  dora::DoraEngine::Options engine_opts;
-  engine_opts.pipelined_commit = true;
   const uint64_t injected_before = FaultInjector::Default().injected();
-  auto rig = MakeTpcbWith(db_opts, engine_opts, kAccountExecutors,
-                          /*other_executors=*/1);
+  auto rig = MakeTpcbWith(db_opts, dora::DoraEngine::Options(),
+                          kAccountExecutors, /*other_executors=*/1);
   const BenchResult r =
       RunBench(rig.workload.get(),
                MakeConfig(EngineKind::kDora, rig.engine.get(),

@@ -49,9 +49,9 @@ skewed workload), the live-repartitioning path must have left evidence:
     controller's per-migration report: ts_ms/table/kind/hot/cold/
     version/fence_wait_ns/busy_hot/busy_cold).
 
-With --require-inline (for DORA smokes run with pipelined commit), guest
-execution must have fired: the "dora.txns.inline" counter > 0 (some
-single-executor transaction ran on its client's thread).
+With --require-inline (for DORA smokes), guest execution must have
+fired: the "dora.txns.inline" counter > 0 (some single-executor
+transaction ran on its client's thread).
 """
 
 import json

@@ -320,12 +320,12 @@ class DoraTxn {
     }
   }
 
-  // A pipelined commit whose record the flush horizon did not yet cover
-  // when FinishTxn completed the client: the commit LSN (kInvalidLsn =
-  // none pending) and the log partition the record went to. The client
-  // waits for durability itself (DoraEngine::Run).
-  Lsn durable_wait_lsn = kInvalidLsn;
-  uint32_t durable_wait_partition = 0;
+  // Set by FinishTxn before it completes a committing client: the LSN
+  // whose durability ends the commit (Database::CommitAppend), and whether
+  // the flush horizon already covered it. The client waits for it itself
+  // (DoraEngine::Run).
+  Lsn commit_lsn = kInvalidLsn;
+  bool commit_covered = false;
 
   // --- reference counting (arena recycling) ---
 
@@ -339,7 +339,6 @@ class DoraTxn {
     txn_ = std::move(txn);
     aborted_.store(false, std::memory_order_relaxed);
     done_.store(kPending, std::memory_order_relaxed);
-    durable_wait_lsn = kInvalidLsn;
     result_ = Status::OK();
     abort_reason_ = Status::OK();
     refs_.store(1, std::memory_order_relaxed);

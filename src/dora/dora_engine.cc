@@ -86,15 +86,13 @@ void DoraEngine::Start() {
   while (arenas_.size() < n_arenas) {
     arenas_.push_back(std::make_unique<TxnArena>());
   }
-  if (options_.hold_table_locks) {
-    // §4.1.3: executors implicitly hold a table IX lock across
-    // transactions — modeled by one long-lived system transaction, so
-    // client transactions never touch the table locks.
-    system_txn_ = db_->Begin();
-    for (auto& [table, group] : tables_) {
-      (void)db_->lock_manager()->LockTable(system_txn_.get(), table,
-                                           LockMode::kIX);
-    }
+  // §4.1.3: executors implicitly hold a table IX lock across transactions
+  // — modeled by one long-lived system transaction, so client transactions
+  // never touch the table locks.
+  system_txn_ = db_->Begin();
+  for (auto& [table, group] : tables_) {
+    (void)db_->lock_manager()->LockTable(system_txn_.get(), table,
+                                         LockMode::kIX);
   }
   for (auto& [table, group] : tables_) {
     for (auto& e : group->executors) e->Start();
@@ -183,10 +181,8 @@ void DoraEngine::Stop() {
   for (auto& [table, group] : tables_) {
     for (auto& e : group->executors) e->Stop();
   }
-  if (system_txn_ != nullptr) {
-    (void)db_->Commit(system_txn_.get());
-    system_txn_.reset();
-  }
+  (void)db_->Commit(system_txn_.get());
+  system_txn_.reset();
   started_ = false;
 }
 
@@ -246,7 +242,23 @@ Status DoraEngine::Run(const DoraTxnRef& dtxn, FlowGraph&& graph) {
   const bool guest = host != nullptr && host->RunAsGuest(t);
   if (!guest) DispatchPhase(t, 0);
   Status s = t->Wait();
-  if (t->durable_wait_lsn != kInvalidLsn) s = AwaitDurable(t);
+  // FinishTxn completed the client right after the commit append (or with
+  // the abort): the commit ends here, on the client's thread. A commit the
+  // flush horizon already covered returns from the wait at once.
+  Transaction* txn = t->txn();
+  if (s.ok()) {
+    s = db_->AwaitCommit(txn, t->commit_lsn);
+    if (s.ok()) {
+      committed_.fetch_add(1, std::memory_order_relaxed);
+      if (txn->logged_work()) {
+        pipelined_.fetch_add(1, std::memory_order_relaxed);
+        if (t->commit_covered) {
+          acked_inline_.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  }
+  obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
   // A dispatching client sleeps and leaves its CPU to the executors; a
   // guest kept it through the whole transaction. The scheduler lets a
   // running thread finish its slice before a woken one preempts it, so
@@ -257,8 +269,7 @@ Status DoraEngine::Run(const DoraTxnRef& dtxn, FlowGraph&& graph) {
 }
 
 Executor* DoraEngine::GuestHost(DoraTxn* dtxn) const {
-  if (!options_.pipelined_commit || dtxn->num_phases() != 1 ||
-      obs::EngineHealth::Default().degraded()) {
+  if (dtxn->num_phases() != 1 || obs::EngineHealth::Default().degraded()) {
     return nullptr;
   }
   Executor* host = nullptr;
@@ -269,21 +280,6 @@ Executor* DoraEngine::GuestHost(DoraTxn* dtxn) const {
     host = e;
   }
   return host;
-}
-
-Status DoraEngine::AwaitDurable(DoraTxn* dtxn) {
-  const Lsn lsn = dtxn->durable_wait_lsn;
-  LogBackend* log = db_->log_manager();
-  const Status durable =
-      log->WaitFlushedFrom(dtxn->durable_wait_partition, lsn);
-  // On a durability failure the frozen horizon may still cover the commit
-  // — then it IS durable and acks normally. Otherwise it is indeterminate:
-  // never acked over a failed fsync, never rolled back either (its record
-  // may have reached the medium).
-  if (!durable.ok() && lsn > log->flushed_lsn()) {
-    return db_->CommitIndeterminate(dtxn->txn(), durable);
-  }
-  return FinalizeDurable(dtxn, /*acked_inline=*/false);
 }
 
 uint32_t DoraEngine::RouteIndex(TableId table, uint64_t routing_value) const {
@@ -353,14 +349,15 @@ void DoraEngine::DispatchPhase(DoraTxn* dtxn, size_t phase) {
   // with overlapping executor sets can never interleave their submissions
   // — which, with FIFO admission and commit-held local locks, rules out
   // deadlocks between them. Single-executor phases (the common case) skip
-  // the ticket entirely.
+  // the ticket entirely. Enqueue is stamped before the first push, so no
+  // executor's drain stamp precedes it.
+  obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kEnqueue);
   const uint64_t ticket = multi ? tickets_.Take() : 0;
   for (Action* a : actions) {
     a->ticket = ticket;
     a->owner->PushToInbox(a);
   }
   if (multi) tickets_.Publish(ticket);
-  obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kEnqueue);
 }
 
 void DoraEngine::Redispatch(Action* a) {
@@ -401,90 +398,47 @@ void DoraEngine::FanOutCompletions(DoraTxn* dtxn, Executor* local) {
   if (release_local) local->ReleaseLocks(dtxn);
 }
 
-Status DoraEngine::FinalizeDurable(DoraTxn* dtxn, bool acked_inline) {
-  Transaction* txn = dtxn->txn();
-  obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
-  if (txn->logged_work()) {
-    pipelined_.fetch_add(1, std::memory_order_relaxed);
-    if (acked_inline) acked_inline_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const Status s = db_->CommitFinalize(txn);
-  committed_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
-    Database::CommitLatencyHistogram()->Record(static_cast<uint64_t>(
-        Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
-  }
-  obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kAck);
-  return s;
-}
-
 void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* local) {
-  // A degraded engine takes the synchronous fallback below: Database::
-  // Commit handles the read-only/rollback split and surfaces the typed
-  // Unavailable — pipelining a commit that can never become durable would
-  // only leave its client waiting to fail later.
-  if (!dtxn->aborted() && options_.pipelined_commit &&
-      !obs::EngineHealth::Default().degraded()) {
-    // Pipelined commit (§5.4 flush pipelining + ELR): append the commit
-    // record, release thread-local locks immediately, and complete the
-    // client, which waits for durability on its own thread (Run), so this
-    // thread picks up its next action instead of stalling in WaitFlushed.
-    // A reader appends nothing; its LSN is the early-release horizon it
-    // depends on.
-    Transaction* txn = dtxn->txn();
-    const Lsn commit_lsn = db_->CommitAsync(txn);
-    obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kCommitAppend);
-    // A writer publishes its commit LSN before any lock goes, so every
-    // transaction that reads its writes waits for their durability.
-    if (txn->logged_work()) db_->RaiseEarlyReleaseHorizon(commit_lsn);
-    // Early lock release, pre-durability.
-    FanOutCompletions(dtxn, local);
-    if (local != nullptr) inline_.fetch_add(1, std::memory_order_relaxed);
-    // When the global flush horizon already covers the commit LSN
-    // (synchronous log, a flusher won the race, or a reader whose
-    // dependencies are durable), the commit is final right now.
-    if (db_->log_manager()->flushed_lsn() >= commit_lsn) {
-      dtxn->Complete(FinalizeDurable(dtxn, /*acked_inline=*/true));
-      return;
-    }
-    dtxn->durable_wait_lsn = commit_lsn;
-    dtxn->durable_wait_partition = db_->log_manager()->CurrentPartition();
-    dtxn->Complete(Status::OK());
-    return;
-  }
-
-  Status final_status;
+  Transaction* txn = dtxn->txn();
+  Status s;
   if (dtxn->aborted()) {
-    (void)db_->Abort(dtxn->txn());
-    final_status = dtxn->abort_reason();
-    if (final_status.ok()) final_status = Status::Aborted();
+    (void)db_->Abort(txn);
+    s = dtxn->abort_reason();
+    if (s.ok()) s = Status::Aborted();
     aborted_.fetch_add(1, std::memory_order_relaxed);
     if (obs::MetricsEnabled()) {
       // Abort attribution by reason ("dora.aborts.deadlock" etc.) — the
       // paper's resource manager decides serial-plan switches on exactly
       // this signal.
       obs::MetricsRegistry::Default()
-          .GetCounter(std::string("dora.aborts.") + final_status.CodeName(),
-                      "txns")
+          .GetCounter(std::string("dora.aborts.") + s.CodeName(), "txns")
           ->Add();
     }
   } else {
-    final_status = db_->Commit(dtxn->txn());
-    if (final_status.ok()) {
-      committed_.fetch_add(1, std::memory_order_relaxed);
-      if (local != nullptr) inline_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Degraded engine: the commit failed Unavailable (rolled back or
-      // indeterminate) — counting it as committed would overstate the
-      // engine's own throughput numbers.
+    // Pipelined commit (§5.4 flush pipelining + early lock release): append
+    // the commit record, release the local locks before it is durable, and
+    // complete the client, which waits for durability on its own thread
+    // (Run) — this thread picks up its next action instead of stalling in
+    // WaitFlushed. A reader appends nothing; its LSN is the early-release
+    // horizon it depends on. A degraded engine rolls a writer back here
+    // and fails it Unavailable, which counts as an abort.
+    s = db_->CommitAppend(txn, &dtxn->commit_lsn);
+    if (!s.ok()) {
       aborted_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // A writer publishes its commit LSN before any lock goes, so every
+      // transaction that reads its writes waits for their durability.
+      if (txn->logged_work()) db_->RaiseEarlyReleaseHorizon(dtxn->commit_lsn);
+      // Synchronous log, a flusher won the race, or a reader whose
+      // dependencies are durable: the client's wait will return at once.
+      dtxn->commit_covered =
+          db_->log_manager()->flushed_lsn() >= dtxn->commit_lsn;
+      if (local != nullptr) inline_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-
-  // Completion fan-out (§A.1 steps 10-12) after commit/abort completes.
+  // Completion fan-out (§A.1 steps 10-12): the local locks go now.
   FanOutCompletions(dtxn, local);
-  obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kAck);
-  dtxn->Complete(std::move(final_status));
+  dtxn->Complete(std::move(s));
 }
 
 namespace {

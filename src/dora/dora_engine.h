@@ -10,10 +10,17 @@
 // (util/mpsc_queue.h) carrying actions and completion messages alike; the
 // §4.2.3 atomic multi-queue enqueue is preserved by global dispatch
 // tickets (dora/ticket.h) instead of ordered queue latches. Transaction
-// contexts are pooled in per-executor arenas (dora/arena.h). With
-// pipelined commit, a one-phase single-executor transaction whose
-// executor is idle runs on the client's own thread as a guest
-// (Executor::RunAsGuest), with no handoff at all.
+// contexts are pooled in per-executor arenas (dora/arena.h). A one-phase
+// single-executor transaction whose executor is idle runs on the client's
+// own thread as a guest (Executor::RunAsGuest), with no handoff at all.
+//
+// Commit is pipelined with early lock release (Aether, §5.4): the thread
+// that zeroes the terminal RVP appends the commit record and releases the
+// local locks; the client then waits for durability on its own thread, so
+// no executor blocks in WaitFlushed. Safe because acks gate on the global
+// flush horizon: a dependent writer's commit carries a larger GSN, and a
+// dependent reader waits for the early-release horizon, so neither is
+// acknowledged before the transaction it read from.
 //
 // Usage:
 //   DoraEngine engine(&db, options);
@@ -50,23 +57,14 @@ class DoraEngine {
     // stay on one context. Leave off on hosts with fewer cores than
     // executors + clients.
     bool pin_threads = false;
-    bool hold_table_locks = true;  // executors hold table IX across txns
+    bool hold_table_locks = true;  // inert: nothing reads it; perfbench sets it
     // Parked actions older than this are expired and their transactions
     // aborted with kDeadlock — the local-lock deadlock resolution the
     // paper requires the storage manager to support (§4.2.3). Local locks
     // are held only until commit, normally sub-millisecond; the margin
     // absorbs scheduling hiccups on oversubscribed hosts.
     uint64_t local_wait_timeout_us = 150000;
-    // Pipelined commit with early lock release: the thread that zeroes the
-    // terminal RVP appends the commit record, releases the txn's
-    // thread-local locks immediately, and completes the client, which then
-    // waits for the commit GSN to be stable on its own thread — no executor
-    // blocks in WaitFlushed. Safe because commit acks gate on the global
-    // GSN horizon: a dependent txn's commit always carries a larger GSN, so
-    // it can never be acknowledged before the txn it read from. Also the
-    // precondition of guest execution (Run): a synchronous commit would
-    // hold the executor's baton across the flush.
-    bool pipelined_commit = false;
+    bool pipelined_commit = true;  // inert: nothing reads it; perfbench sets it
     uint32_t epoch_batch_min = 0;  // inert: nothing reads it; perfbench sets it
   };
 
@@ -132,9 +130,10 @@ class DoraEngine {
   DoraTxnRef BeginTxn();
 
   // Materialize the graph, then run it inline as a guest of its executor
-  // (one phase, one executor, pipelined commit, executor idle) or dispatch
-  // phase 0 (ticket-ordered enqueue); wait for the terminal RVP, and for a
-  // pipelined commit's durability. Returns the transaction's final status.
+  // (one phase, one executor, executor idle) or dispatch phase 0
+  // (ticket-ordered enqueue); wait for the terminal RVP, then for the
+  // commit's durability (Database::AwaitCommit), on this thread either way.
+  // Returns the transaction's final status.
   Status Run(const DoraTxnRef& dtxn, FlowGraph&& graph);
 
   // --- routing ---
@@ -195,9 +194,11 @@ class DoraEngine {
   // rule change).
   void Redispatch(Action* a);
 
-  // Commit/abort + completion fan-out; runs on the thread that zeroed the
-  // terminal (or aborting) RVP. `local` is the executor whose baton a guest
-  // holds: its locks are released directly instead of by message.
+  // Commit append (Database::CommitAppend, early-release horizon) or abort,
+  // then completion fan-out; runs on the thread that zeroed the terminal
+  // (or aborting) RVP. The client finishes the commit (Run). `local` is the
+  // executor whose baton a guest holds: its locks are released directly
+  // instead of by message.
   void FinishTxn(DoraTxn* dtxn, Executor* local = nullptr);
 
   // --- stats ---
@@ -207,13 +208,13 @@ class DoraEngine {
   uint64_t txns_aborted() const {
     return aborted_.load(std::memory_order_relaxed);
   }
-  // Writer commits that went through the pipelined (ELR) path. Read-only
+  // Writer commits (all released their locks before durability). Read-only
   // commits count only in txns_committed (and "txn.read_only_commits").
   uint64_t txns_pipelined() const {
     return pipelined_.load(std::memory_order_relaxed);
   }
-  // Pipelined writer commits finalized without a durable wait, because the
-  // flush horizon already covered their commit GSN when FinishTxn ran.
+  // Writer commits whose GSN the flush horizon already covered when
+  // FinishTxn ran, so the client's durable wait returned at once.
   uint64_t txns_acked_inline() const {
     return acked_inline_.load(std::memory_order_relaxed);
   }
@@ -228,23 +229,13 @@ class DoraEngine {
  private:
   // The executor `dtxn` may run on as a guest: its graph has one phase
   // whose actions all route to that executor, none whole-dataset, and the
-  // engine commits pipelined and is not degraded. Null otherwise.
+  // engine is not degraded. Null otherwise.
   Executor* GuestHost(DoraTxn* dtxn) const;
   // Completion fan-out (§A.1 steps 10-12): hand the txn back to every
   // executor that ran one of its actions so they release local locks.
   // Each message carries one reference on the context. `local`'s locks
   // (a guest's executor) are released directly, after the messages go.
   void FanOutCompletions(DoraTxn* dtxn, Executor* local);
-  // The client's half of a pipelined commit (Run): wait until the commit
-  // LSN FinishTxn left in the context is stable, then finalize. A commit
-  // the frozen horizon of a failed log does not cover is indeterminate.
-  Status AwaitDurable(DoraTxn* dtxn);
-  // Finalize a pipelined commit whose GSN the flush horizon covers:
-  // CommitFinalize + counters + latency histogram, with the kDurable and
-  // kAck trace stamps. Returns the client's status. `acked_inline` is true
-  // when no durable wait was needed (FinishTxn), false after the client's
-  // wait (AwaitDurable).
-  Status FinalizeDurable(DoraTxn* dtxn, bool acked_inline);
 
   struct TableGroup {
     TableId table;

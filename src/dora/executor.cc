@@ -194,6 +194,10 @@ bool Executor::RunAsGuest(DoraTxn* t) {
   const uint64_t id = t->txn()->id();
   obs::CommitTracer::Stamp(id, obs::TraceStage::kEnqueue);
   obs::CommitTracer::Stamp(id, obs::TraceStage::kDrain);
+  // The baton orders this guest's heartbeat writes after the executor's
+  // "park": a body that wedges the session reads as a stalled executor.
+  hb_->SetStage("guest");
+  hb_->SetIdle(false);
   guest_txn_ = t;
   guest_finish_ = false;
   guest_parked_ = false;
@@ -202,7 +206,7 @@ bool Executor::RunAsGuest(DoraTxn* t) {
     a->ticket = 0;
     AdmitAction(a);
   }
-  // Every action ran here: commit (CommitAsync, horizon raise) before any
+  // Every action ran here: commit (CommitAppend, horizon raise) before any
   // lock goes, then release the locks locally (ReleaseLocks). Whatever
   // arrived in the inbox meanwhile is left to the executor it woke.
   if (guest_finish_) {
@@ -214,6 +218,8 @@ bool Executor::RunAsGuest(DoraTxn* t) {
   if (metrics) {
     busy_cycles_.fetch_add(Cycles::Now() - t0, std::memory_order_relaxed);
   }
+  hb_->SetStage("park");
+  hb_->SetIdle(true);
   ReleaseGuestBaton();
   // The executor may be asleep without a timeout, which would leave the
   // parked action outside the §4.2.3 expiry check: wake it to re-park
@@ -417,7 +423,7 @@ void Executor::ExecuteGranted(Action* a) {
   if (!dtxn->aborted() && a->body) {
     // Publish the stage so a body that never returns shows up in the
     // watchdog's per-thread table as stalled-in-execute.
-    if (hb_ != nullptr && guest_txn_ == nullptr) hb_->SetStage("execute");
+    if (hb_ != nullptr) hb_->SetStage("execute");
     ActionEnv env{db_, dtxn->txn(), dtxn, this};
     ScopedTimeClass work(TimeClass::kWork);
     const Status s = a->body(env);

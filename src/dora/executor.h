@@ -191,9 +191,10 @@ class Executor {
   std::atomic<uint64_t> pushed_{0};
   std::atomic<uint64_t> busy_cycles_{0};
 
-  // Watchdog heartbeat, registered for the lifetime of Loop(). Only this
-  // thread writes through it (never a guest); the watchdog reads via
-  // table snapshots.
+  // Watchdog heartbeat, registered for the lifetime of Loop(). The baton
+  // holder writes through it: this thread, or a guest for its session
+  // (the handle's fields are atomics; the baton orders the writers). The
+  // watchdog reads via table snapshots.
   obs::Heartbeats::Handle* hb_ = nullptr;
 
   // Registry-owned instrumentation (resolved once at construction; hot

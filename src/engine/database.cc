@@ -37,7 +37,9 @@ Database::Database(Options options)
           pool_.get(), log_.get(), txns_.get(), options.checkpoint,
           options.log_segment_bytes)),
       read_only_commits_(obs::MetricsRegistry::Default().GetCounter(
-          "txn.read_only_commits", "txns")) {
+          "txn.read_only_commits", "txns")),
+      commit_latency_(obs::MetricsRegistry::Default().GetHistogram(
+          "txn.commit_latency_ns", "ns")) {
   // Reopen ordering hazard: recovered log records can reference pages the
   // dead lifetime allocated but never flushed (they sit beyond pages.db
   // EOF). Raise the allocator past every such id NOW — before application
@@ -256,13 +258,7 @@ Database::~Database() {
   pool_->SetWalFlushCallback(nullptr);
 }
 
-Histogram* Database::CommitLatencyHistogram() {
-  static Histogram* h = obs::MetricsRegistry::Default().GetHistogram(
-      "txn.commit_latency_ns", "ns");
-  return h;
-}
-
-Status Database::Commit(Transaction* txn) {
+Status Database::CommitAppend(Transaction* txn, Lsn* commit_lsn) {
   auto& health = obs::EngineHealth::Default();
   if (txn->logged_work() && health.degraded()) {
     // Logged transaction, caught before the commit record: nothing it
@@ -271,20 +267,30 @@ Status Database::Commit(Transaction* txn) {
     (void)Abort(txn);
     return Status::Unavailable("engine degraded: " + health.reason());
   }
-  const Lsn end = CommitAsync(txn);
+  *commit_lsn = CommitAsync(txn);
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kCommitAppend);
+  return Status::OK();
+}
+
+Status Database::AwaitCommit(Transaction* txn, Lsn commit_lsn) {
   // Durability point (group commit). A failure here is NOT an abort: the
   // commit record is already appended and may or may not have reached the
   // medium before the stream poisoned itself.
-  const Status durable = log_->WaitFlushed(end);
+  const Status durable = log_->WaitFlushed(commit_lsn);
   if (!durable.ok()) return CommitIndeterminate(txn, durable);
   obs::CommitTracer::Stamp(txn->id(), obs::TraceStage::kDurable);
   const Status s = CommitFinalize(txn);
   if (obs::MetricsEnabled() && txn->start_tsc() != 0) {
-    CommitLatencyHistogram()->Record(static_cast<uint64_t>(
+    commit_latency_->Record(static_cast<uint64_t>(
         Cycles::ToNanos(Cycles::Now() - txn->start_tsc())));
   }
   return s;
+}
+
+Status Database::Commit(Transaction* txn) {
+  Lsn commit_lsn = kInvalidLsn;
+  DORADB_RETURN_NOT_OK(CommitAppend(txn, &commit_lsn));
+  return AwaitCommit(txn, commit_lsn);
 }
 
 Status Database::CommitIndeterminate(Transaction* txn, Status why) {

@@ -127,13 +127,6 @@ class Database {
     return obs::MetricsRegistry::Default().Snapshot();
   }
 
-  // The "txn.commit_latency_ns" histogram (shared, registry-owned). The
-  // non-pipelined paths record into it from Commit(); DORA's pipelined
-  // finalize (DoraEngine::FinalizeDurable, with or without the client's
-  // durable wait) records its own — exactly one record per committed
-  // transaction either way.
-  static Histogram* CommitLatencyHistogram();
-
   // Port the live metrics endpoint bound, or -1 when disabled / failed.
   int obs_port() const { return obs_server_ == nullptr ? -1 : obs_server_->port(); }
 
@@ -149,33 +142,39 @@ class Database {
 
   std::unique_ptr<Transaction> Begin() { return txns_->Begin(); }
 
-  // Commit: flush the WAL through the commit record (group commit), run
-  // post-commit actions (slot frees, DORA index flagging), release locks.
+  // Every commit in both engines ends in the same two calls, which
+  // Commit() makes back to back. A caller may release the transaction's
+  // locks between them (DORA's early lock release; see
+  // RaiseEarlyReleaseHorizon).
+  //
+  // CommitAppend appends the commit record, stamps kCommitAppend, and
+  // stores in *commit_lsn the LSN/GSN whose durability makes the commit
+  // final — without waiting for it. On a degraded engine a logged
+  // transaction is rolled back instead (nothing it wrote can become
+  // durable) and Unavailable is returned. A read-only transaction (nothing
+  // logged) appends nothing: its LSN is the early-release horizon read
+  // after its last read, so it is acknowledged only once every commit it
+  // could have read from is durable. It counts in "txn.read_only_commits".
+  //
+  // AwaitCommit waits until `commit_lsn` is stable (group commit), then
+  // runs post-commit actions (slot frees, DORA index flagging), writes
+  // kEnd for a logged transaction, releases locks, and records
+  // "txn.commit_latency_ns" once. A failed durability wait is not an
+  // abort: the commit record may have reached the medium, so the outcome
+  // is indeterminate until recovery reads the stable log. No post-commit
+  // actions, no rollback; locks are released, the handle retired, and the
+  // typed error returned.
+  Status CommitAppend(Transaction* txn, Lsn* commit_lsn);
+  Status AwaitCommit(Transaction* txn, Lsn commit_lsn);
   Status Commit(Transaction* txn);
 
-  // Pipelined commit, used by DORA's early-lock-release path. CommitAsync
-  // appends the commit record and returns the LSN/GSN whose durability
-  // makes the commit final — without waiting for it. Once
-  // WaitFlushed(that lsn) has returned, CommitFinalize runs the rest of
-  // the protocol (post-commit actions, kEnd, lock release). Commit() is
-  // exactly CommitAsync + WaitFlushed + CommitFinalize.
-  //
-  // A read-only transaction (nothing logged) takes the same three steps
-  // but appends nothing: CommitAsync returns the early-release horizon
-  // read after its last read (see RaiseEarlyReleaseHorizon), so it is
-  // acknowledged only once every commit it could have read from is
-  // durable, and CommitFinalize writes no kEnd. It counts in
-  // "txn.read_only_commits".
-  Lsn CommitAsync(Transaction* txn);
-  Status CommitFinalize(Transaction* txn);
-
   // Early lock release: a caller about to release a transaction's locks
-  // before its commit LSN `commit_lsn` is durable (DORA's pipelined
-  // commit path) raises this database's early-release horizon to
-  // it first. The horizon is monotonic; any transaction that reads the
-  // released data therefore reads a horizon at or above `commit_lsn`
-  // afterwards. Paths that hold locks until durability (Database::Commit,
-  // the Baseline) never raise it, so their readers commit at once.
+  // before its commit LSN `commit_lsn` is durable (DORA's commit path)
+  // raises this database's early-release horizon to it first. The horizon
+  // is monotonic; any transaction that reads the released data therefore
+  // reads a horizon at or above `commit_lsn` afterwards. Paths that hold
+  // locks until durability (Database::Commit, the Baseline) never raise
+  // it, so their readers commit at once.
   void RaiseEarlyReleaseHorizon(Lsn commit_lsn) {
     Lsn cur = early_release_horizon_.load(std::memory_order_relaxed);
     while (cur < commit_lsn &&
@@ -184,14 +183,6 @@ class Database {
                std::memory_order_relaxed)) {
     }
   }
-
-  // The failure-side counterpart of CommitFinalize: the commit record was
-  // appended (CommitAsync) but its durability wait failed — the outcome is
-  // indeterminate until recovery reads the stable log. Runs no post-commit
-  // actions and no rollback (undoing a possibly-durable commit would be
-  // wrong); releases locks, retires the handle, and returns `why` so the
-  // caller surfaces the typed error to the client.
-  Status CommitIndeterminate(Transaction* txn, Status why);
 
   // Abort: roll back heap ops via the in-memory undo chain (logging CLRs),
   // reverse index ops logically, release locks.
@@ -266,6 +257,13 @@ class Database {
   // Shared by Commit (deferred deletes) and recovery redo.
   Status PhysicalDelete(TableId table, const Rid& rid, Lsn lsn);
 
+  // The steps of CommitAppend / AwaitCommit: append the commit record (or
+  // read the horizon), finalize a durable commit, give up on one whose
+  // durability wait failed.
+  Lsn CommitAsync(Transaction* txn);
+  Status CommitFinalize(Transaction* txn);
+  Status CommitIndeterminate(Transaction* txn, Status why);
+
   // Runs before any member constructs (options_ is the first member):
   // clears the process-wide health latch so a reopen over a previously
   // degraded engine starts healthy — the subsystems built next re-latch it
@@ -292,6 +290,7 @@ class Database {
   // that commit was durable (RaiseEarlyReleaseHorizon).
   std::atomic<Lsn> early_release_horizon_{kInvalidLsn};
   obs::Counter* const read_only_commits_;
+  Histogram* const commit_latency_;  // txn.commit_latency_ns
 
   // Observability: registry callback tokens for this database's subsystem
   // metrics (released in the destructor before the subsystems die) and the

@@ -9,6 +9,10 @@
 // SetStage() publishes a static string naming what the thread is doing
 // right now; it is read by the watchdog for the blackbox per-thread
 // table, so stage strings must have static storage duration.
+// A handle has one writer at a time: its own loop, or, for an executor,
+// a client running a transaction as the executor's guest while it holds
+// the executor's baton (dora/executor.h), so a wedged guest session reads
+// as a stalled executor.
 //
 // Handles are owned by the table and freed on Unregister — every loop
 // must unregister before its thread object is joined and destroyed

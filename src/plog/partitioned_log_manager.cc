@@ -166,18 +166,6 @@ Status PartitionedLogManager::WaitFlushed(Lsn lsn) {
   }
 }
 
-Status PartitionedLogManager::WaitFlushedFrom(uint32_t partition_hint,
-                                              Lsn lsn) {
-  // Flush the record's own partition eagerly, then fall through to the
-  // shared laggard sweep. Other partitions normally advance on their own
-  // flushers, but an IDLE partition may be deferring its watermark-only
-  // header sync (idle_sync_skip_ticks), so a waiter must force laggards
-  // through rather than poll the horizon forever.
-  LogPartition* own = partitions_[partition_hint % partitions_.size()].get();
-  if (own->watermark() < lsn) own->Flush(/*force_watermark=*/true, lsn);
-  return WaitFlushed(lsn);
-}
-
 void PartitionedLogManager::DiscardVolatileTail() {
   // Crash: every partition loses its volatile buffer — independently, so
   // one partition may retain durable records whose same-transaction

@@ -21,7 +21,7 @@
 // transaction's commit record always carries a larger GSN and therefore
 // cannot become durable-acked before its predecessor's. (A read-only
 // dependent appends no record; it gates on the early-release horizon —
-// see Database::CommitAsync.)
+// see Database::CommitAppend.)
 //
 // Recovery: ReadStable() decodes every partition stream (each tolerating
 // its own torn tail), computes the recovery horizon
@@ -91,11 +91,6 @@ class PartitionedLogManager {
   // can never reach `lsn`: the record may or may not be on the platter,
   // but it must NOT be acknowledged as durable.
   Status WaitFlushed(Lsn lsn);
-  // Commit-pipelining wait: like WaitFlushed, but the caller vouches that
-  // `lsn` lives in `partition_hint`, so only that partition is flushed
-  // eagerly and the others' flushers advance the horizon on their own
-  // cadence — avoiding an all-partition flush storm per commit.
-  Status WaitFlushedFrom(uint32_t partition_hint, Lsn lsn);
 
   Lsn flushed_lsn() const;
   Lsn current_lsn() const { return clock_.last_issued(); }

@@ -138,7 +138,7 @@ class Transaction {
 
   // True once any record has been chained. Begin logs nothing, so false
   // means read-only: the commit appends no record and its only durability
-  // obligation is the early-release horizon (Database::CommitAsync), and
+  // obligation is the early-release horizon (Database::CommitAppend), and
   // an abort has nothing to compensate. Read by the commit/abort paths,
   // when the transaction is quiescent.
   bool logged_work() const { return last_lsn_ != kInvalidLsn; }

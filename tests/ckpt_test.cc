@@ -272,9 +272,7 @@ TEST(CkptTest, TruncatedCommitDoesNotTurnWinnerIntoLoser) {
   ASSERT_TRUE(db.Update(a.get(), table, rid, "winner",
                         AccessOptions::Baseline()).ok());
   db.log_manager()->BindThisThread(1);
-  const Lsn a_commit = db.CommitAsync(a.get());
-  db.log_manager()->WaitFlushed(a_commit);
-  ASSERT_TRUE(db.CommitFinalize(a.get()).ok());
+  ASSERT_TRUE(db.Commit(a.get()).ok());
 
   // Transaction B re-dirties the page from partition 1, so checkpointing
   // partition 1 flushes it and raises the horizon past A's commit.
@@ -777,9 +775,7 @@ TEST(CkptTest, InlineAckFastPathCompletesWithoutDaemonRoundTrip) {
     ASSERT_TRUE(db.Commit(setup.get()).ok());
   }
 
-  dora::DoraEngine::Options eopts;
-  eopts.pipelined_commit = true;
-  dora::DoraEngine engine(&db, eopts);
+  dora::DoraEngine engine(&db);
   engine.RegisterTable(table, 64, 2);
   engine.Start();
   constexpr int kTxns = 60;

@@ -486,16 +486,12 @@ TEST_F(DoraEngineTest, SerialPlanAvoidsWastedWorkOnAbort) {
 
 // -------------------------------------------------------- concurrent mixes
 
-// Database + engine for multi-client mixes. `pipelined` turns on pipelined
-// commit, by default over the partitioned log backend, so the early-release
-// commit path and its acks are exercised end to end.
+// Database + engine for multi-client mixes, by default over the partitioned
+// log backend, so the early-release commit path and its acks are exercised
+// end to end.
 class DoraMixTest : public ::testing::Test {
  protected:
-  void Build(bool pipelined) {
-    Build(pipelined,
-          pipelined ? LogBackendKind::kPartitioned : LogBackendKind::kCentral);
-  }
-  void Build(bool pipelined, LogBackendKind backend) {
+  void Build(LogBackendKind backend = LogBackendKind::kPartitioned) {
     if (engine_) engine_->Stop();
     engine_.reset();
     db_.reset();
@@ -504,9 +500,7 @@ class DoraMixTest : public ::testing::Test {
     dbo.log_partitions = 2;
     db_ = std::make_unique<Database>(dbo);
     ASSERT_TRUE(db_->catalog()->CreateTable("a", &table_a_).ok());
-    DoraEngine::Options eo;
-    eo.pipelined_commit = pipelined;
-    engine_ = std::make_unique<DoraEngine>(db_.get(), eo);
+    engine_ = std::make_unique<DoraEngine>(db_.get());
     engine_->RegisterTable(table_a_, 100, 2);
     engine_->Start();
   }
@@ -588,7 +582,7 @@ TEST_F(DoraMixTest, TicketedGraphsNeverDeadlockBesideSingleActions) {
   // while concurrent single-action traffic runs FIFO on the same
   // executors. Neither path may starve or deadlock the other, and no
   // increment may be lost.
-  Build(/*pipelined=*/false);
+  Build(LogBackendKind::kCentral);
   SeedCounters({3, 77});
   constexpr int kThreads = 4, kIters = 40;
   std::atomic<int> failures{0};
@@ -618,7 +612,7 @@ TEST_F(DoraMixTest, PipelinedAcksCountEveryIncrement) {
   // TPC-B-style mix with pipelined commit over the partitioned log: every
   // acknowledged increment is visible, none duplicated.
   constexpr int kThreads = 4, kIters = 40;
-  Build(/*pipelined=*/true);
+  Build();
   SeedCounters({5, 25, 45, 65, 85});
   EXPECT_EQ(RunIncrementMix(kThreads, kIters), 0);
   EXPECT_EQ(SumCounters(), uint64_t(kThreads * kIters));
@@ -635,7 +629,7 @@ TEST_F(DoraMixTest, ReadOnlyTransactionsLeaveNothingInTheLog) {
        {LogBackendKind::kCentral, LogBackendKind::kPartitioned}) {
     SCOPED_TRACE(testing::Message()
                  << "backend " << static_cast<int>(backend));
-    Build(/*pipelined=*/true, backend);
+    Build(backend);
     LogBackend* log = db_->log_manager();
     const uint64_t appends = log->appends();
     const uint64_t read_only_before = read_only->Value();
@@ -713,7 +707,6 @@ class GuestSerializabilityTest : public ::testing::Test {
     db_ = std::make_unique<Database>(dbo);
     ASSERT_TRUE(db_->catalog()->CreateTable("c", &table_).ok());
     DoraEngine::Options eo;
-    eo.pipelined_commit = true;
     eo.local_wait_timeout_us = 20000;
     engine_ = std::make_unique<DoraEngine>(db_.get(), eo);
     engine_->RegisterTable(table_, 100, 2);  // [0,50) -> 0, [50,100) -> 1

@@ -2,8 +2,8 @@
 // percentile interpolation, sharded-counter aggregation under concurrency,
 // registry snapshot/delta semantics, JSON round-tripping, the commit-path
 // tracer (ring wraparound + the seven lifecycle spans over a real DORA
-// run: synchronous, pipelined and guest commit), the background stats
-// reporter's output format, and the heatmap's view of guest work.
+// run, dispatched and as a guest), the background stats reporter's output
+// format, and the heatmap's view of guest work.
 
 #include <atomic>
 #include <chrono>
@@ -260,13 +260,12 @@ uint64_t HistCount(const MetricsSnapshot& snap, const std::string& name) {
   return m == nullptr ? 0 : m->count;
 }
 
-// One committed DORA transaction must show every lifecycle span, in order:
-// dispatch → enqueue → drain → execute → commit-append → durable → ack.
-// Three commit paths: synchronous (FinishTxn stamps durable and ack),
-// pipelined through the executor's inbox (a whole-dataset action is never
-// run inline), and pipelined on the client's thread as a guest of the idle
-// executor (a single-action graph).
-enum class CommitPath { kSynchronous, kPipelined, kGuest };
+// One committed DORA transaction must show every lifecycle span, in strict
+// order: dispatch → enqueue → drain → execute → commit-append → durable →
+// ack. Two ways to run it: dispatched through the executor's inbox (a
+// whole-dataset action is never run inline), and on the client's thread as
+// a guest of the idle executor (a single-action graph).
+enum class CommitPath { kPipelined, kGuest };
 
 class CommitPathTraceTest : public ::testing::TestWithParam<CommitPath> {};
 
@@ -277,9 +276,7 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
   Database db(opts);
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
-  dora::DoraEngine::Options eopts;
-  eopts.pipelined_commit = path != CommitPath::kSynchronous;
-  dora::DoraEngine engine(&db, eopts);
+  dora::DoraEngine engine(&db);
   engine.RegisterTable(table, 100, 2);
   engine.Start();
 
@@ -334,14 +331,10 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
       << "expected all seven spans, got:\n"
       << text;
   // Dump() sorts a transaction's events by time; the lifecycle must come
-  // out in pipeline order. A guest stamps every stage itself, in stage
-  // order; a dispatcher stamps enqueue after its pushes, so an executor
-  // may stamp drain first.
+  // out in pipeline order.
   for (size_t i = 1; i < mine.size(); ++i) {
     EXPECT_GE(mine[i]->tsc, mine[i - 1]->tsc);
-    if (path == CommitPath::kGuest) {
-      EXPECT_GT(mine[i]->stage, mine[i - 1]->stage) << text;
-    }
+    EXPECT_GT(mine[i]->stage, mine[i - 1]->stage) << text;
   }
   EXPECT_EQ(mine.front()->stage, TraceStage::kDispatch);
   EXPECT_EQ(mine.back()->stage, TraceStage::kAck);
@@ -377,12 +370,9 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
 
 INSTANTIATE_TEST_SUITE_P(
     CommitPaths, CommitPathTraceTest,
-    ::testing::Values(CommitPath::kSynchronous, CommitPath::kPipelined,
-                      CommitPath::kGuest),
+    ::testing::Values(CommitPath::kPipelined, CommitPath::kGuest),
     [](const ::testing::TestParamInfo<CommitPath>& info) {
       switch (info.param) {
-        case CommitPath::kSynchronous:
-          return "Synchronous";
         case CommitPath::kPipelined:
           return "Pipelined";
         case CommitPath::kGuest:
@@ -400,9 +390,7 @@ TEST(HeatmapTest, GuestSessionsCountAsExecutorBusy) {
   Database db(opts);
   TableId table;
   ASSERT_TRUE(db.catalog()->CreateTable("t", &table).ok());
-  dora::DoraEngine::Options eopts;
-  eopts.pipelined_commit = true;
-  dora::DoraEngine engine(&db, eopts);
+  dora::DoraEngine engine(&db);
   engine.RegisterTable(table, 100, 1);
   engine.Start();
   Rid rid;

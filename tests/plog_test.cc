@@ -611,10 +611,10 @@ TEST(PlogPropertyTest, TornTailCrashRecoversCommittedPrefix) {
         continue;
       }
       const bool ack = rng.Percent(50);
-      const Lsn end = db.CommitAsync(txn.get());
+      Lsn end = kInvalidLsn;
+      ASSERT_TRUE(db.CommitAppend(txn.get(), &end).ok());
       if (ack) {
-        db.log_manager()->WaitFlushed(end);
-        ASSERT_TRUE(db.CommitFinalize(txn.get()).ok());
+        ASSERT_TRUE(db.AwaitCommit(txn.get(), end).ok());
       } else {
         // ELR discipline: commit record appended, locks released, but the
         // client was never acknowledged — a crash may lose this txn.
@@ -742,7 +742,8 @@ TEST(PlogPropertyTest, CheckpointedCrashLoopRecoversCommittedPrefix) {
       const Lsn horizon = db.log_manager()->flushed_lsn();
       size_t n = 0;
       while (n < pending.size() && pending[n].gsn <= horizon) {
-        ASSERT_TRUE(db.CommitFinalize(pending[n].txn.get()).ok());
+        ASSERT_TRUE(
+            db.AwaitCommit(pending[n].txn.get(), pending[n].gsn).ok());
         for (const auto& [row, idx] : pending[n].writes) {
           history[row][idx].acked = true;
         }
@@ -770,7 +771,8 @@ TEST(PlogPropertyTest, CheckpointedCrashLoopRecoversCommittedPrefix) {
           history[row].push_back(Write{value, false});
           writes.emplace_back(row, history[row].size() - 1);
         }
-        const Lsn gsn = db.CommitAsync(txn.get());
+        Lsn gsn = kInvalidLsn;
+        ASSERT_TRUE(db.CommitAppend(txn.get(), &gsn).ok());
         db.lock_manager()->ReleaseAll(txn.get());  // ELR
         pending.push_back(Pending{std::move(txn), gsn, std::move(writes)});
 
@@ -892,7 +894,8 @@ TEST(PlogPropertyTest, FileBackendCrashLoopAcrossLifetimes) {
       const Lsn horizon = db->log_manager()->flushed_lsn();
       size_t n = 0;
       while (n < pending.size() && pending[n].gsn <= horizon) {
-        ASSERT_TRUE(db->CommitFinalize(pending[n].txn.get()).ok());
+        ASSERT_TRUE(
+            db->AwaitCommit(pending[n].txn.get(), pending[n].gsn).ok());
         for (const auto& [row, idx] : pending[n].writes) {
           history[row][idx].acked = true;
         }
@@ -920,7 +923,8 @@ TEST(PlogPropertyTest, FileBackendCrashLoopAcrossLifetimes) {
           history[row].push_back(Write{value, false});
           writes.emplace_back(row, history[row].size() - 1);
         }
-        const Lsn gsn = db->CommitAsync(txn.get());
+        Lsn gsn = kInvalidLsn;
+        ASSERT_TRUE(db->CommitAppend(txn.get(), &gsn).ok());
         db->lock_manager()->ReleaseAll(txn.get());  // ELR
         pending.push_back(Pending{std::move(txn), gsn, std::move(writes)});
 
@@ -1011,9 +1015,7 @@ TEST(PlogDoraTest, PipelinedCommitDurableAndRecoverable) {
     ASSERT_TRUE(db.Commit(setup.get()).ok());
   }
 
-  dora::DoraEngine::Options opts;
-  opts.pipelined_commit = true;
-  dora::DoraEngine engine(&db, opts);
+  dora::DoraEngine engine(&db);
   engine.RegisterTable(table, kRows, 2);
   engine.Start();
 
@@ -1066,9 +1068,7 @@ TEST(PlogDoraTest, PipelinedCommitSerializesConflictingWriters) {
     ASSERT_TRUE(db.Commit(setup.get()).ok());
   }
 
-  dora::DoraEngine::Options opts;
-  opts.pipelined_commit = true;
-  dora::DoraEngine engine(&db, opts);
+  dora::DoraEngine engine(&db);
   engine.RegisterTable(table, 64, 2);
   engine.Start();
 
@@ -1132,9 +1132,7 @@ TEST(PlogDoraTest, ReaderOfReleasedWriteAckedOnlyOnceWriterDurable) {
   }
 
   for (int i = 0; i < kIters; ++i) {
-    dora::DoraEngine::Options opts;
-    opts.pipelined_commit = true;
-    dora::DoraEngine engine(&db, opts);
+    dora::DoraEngine engine(&db);
     engine.RegisterTable(table, 64, 1);  // writer and reader share it
     engine.Start();
 

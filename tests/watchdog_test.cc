@@ -410,6 +410,19 @@ TEST(WatchdogEndToEndTest, StalledExecutorTripsHealthzAndDumpsBlackbox) {
     engine.RegisterTable(table, 100, 2);
     engine.Start();
 
+    // The wedge below runs on the client's thread as a guest of its idle
+    // executor, whose baton is free only once its thread first parked:
+    // commit no-op guests on the same executor until one ran inline.
+    for (int i = 0; i < 1000 && engine.txns_inline() == 0; ++i) {
+      auto dtxn = engine.BeginTxn();
+      dora::FlowGraph g;
+      g.AddPhase().AddAction(table, 5, dora::LocalMode::kX,
+                             [](dora::ActionEnv&) { return Status::OK(); });
+      ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+      SleepMs(1);
+    }
+    ASSERT_EQ(engine.txns_inline(), 1u);
+
     // A transaction whose action body wedges its executor for far longer
     // than the stall threshold — the "stuck in an action" failure mode.
     std::thread client([&] {
@@ -435,6 +448,7 @@ TEST(WatchdogEndToEndTest, StalledExecutorTripsHealthzAndDumpsBlackbox) {
       SleepMs(10);
     }
     client.join();
+    EXPECT_EQ(engine.txns_inline(), 2u) << "the wedge did not run as a guest";
     EXPECT_TRUE(saw_unhealthy)
         << "watchdog never reported the wedged executor via /healthz";
 

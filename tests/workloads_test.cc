@@ -259,22 +259,20 @@ std::vector<std::vector<std::string>> TableContents(Database* db) {
 // serial transaction stream must give the same outcome per transaction and
 // the same table contents on the Baseline as on DORA. Two databases are
 // loaded alike; each engine draws its inputs from its own Rng(seed), and a
-// shared stream picks the transaction types. With `pipelined`, DORA commits
-// pipelined: single-executor graphs run on this thread as guests, and
-// every writer waits for its own durability. Returns the number of
-// guest-run commits.
+// shared stream picks the transaction types. DORA runs with default
+// options: single-executor graphs run on this thread as guests, and every
+// writer waits for its own durability. Returns the number of guest-run
+// commits.
 uint64_t ExpectEnginesAgree(
     const std::function<std::unique_ptr<Workload>(Database*)>& make,
-    int txns, uint64_t seed, bool pipelined) {
+    int txns, uint64_t seed) {
   Database base_db(DbOptions());
   Database dora_db(DbOptions());
   const std::unique_ptr<Workload> base = make(&base_db);
   const std::unique_ptr<Workload> dora = make(&dora_db);
   EXPECT_TRUE(base->Load().ok());
   EXPECT_TRUE(dora->Load().ok());
-  dora::DoraEngine::Options eopts;
-  eopts.pipelined_commit = pipelined;
-  dora::DoraEngine engine(&dora_db, eopts);
+  dora::DoraEngine engine(&dora_db);
   dora->SetupDora(&engine);
   engine.Start();
   Rng type_rng(seed ^ 0x5eed);
@@ -309,13 +307,12 @@ TEST(CrossEngineTest, Tm1SameOutcomesAndTables) {
     cfg.subscribers = 1000;
     return std::make_unique<tm1::Tm1Workload>(db, cfg);
   };
-  EXPECT_EQ(ExpectEnginesAgree(make, 20000, 28, /*pipelined=*/false), 0u);
   // TM1's single-action graphs run as guests of their idle executors.
-  EXPECT_GT(ExpectEnginesAgree(make, 20000, 28, /*pipelined=*/true), 0u);
+  EXPECT_GT(ExpectEnginesAgree(make, 20000, 28), 0u);
 }
 
 // TPC-B's and TPC-C's graphs span several executors, so none runs as a
-// guest; the pipelined arm covers their clients' own durable waits.
+// guest; these cover their clients' own durable waits.
 TEST(CrossEngineTest, TpcbSameOutcomesAndTables) {
   auto make = [](Database* db) {
     tpcb::TpcbWorkload::Config cfg;
@@ -324,9 +321,7 @@ TEST(CrossEngineTest, TpcbSameOutcomesAndTables) {
     cfg.accounts_per_branch = 200;
     return std::make_unique<tpcb::TpcbWorkload>(db, cfg);
   };
-  for (const bool pipelined : {false, true}) {
-    ExpectEnginesAgree(make, 2000, 28, pipelined);
-  }
+  ExpectEnginesAgree(make, 2000, 28);
 }
 
 TEST(CrossEngineTest, TpccSameOutcomesAndTables) {
@@ -339,9 +334,7 @@ TEST(CrossEngineTest, TpccSameOutcomesAndTables) {
     cfg.initial_orders_per_district = 5;
     return std::make_unique<tpcc::TpccWorkload>(db, cfg);
   };
-  for (const bool pipelined : {false, true}) {
-    ExpectEnginesAgree(make, 3000, 28, pipelined);
-  }
+  ExpectEnginesAgree(make, 3000, 28);
 }
 
 }  // namespace
