@@ -52,8 +52,7 @@ int main() {
           "actions to the WH/DI/CU executors (ordered latching, §4.2.3)");
 
   auto dtxn = engine.BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(sc.warehouse, w, dora::LocalMode::kX,
                  [&](dora::ActionEnv& env) -> Status {
                    Step(2, "WH action dequeued", env.self->global_index());
@@ -115,7 +114,7 @@ int main() {
                         env.self->global_index());
                    return Status::OK();
                  });
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       sc.history, w, dora::LocalMode::kX,
       [&](dora::ActionEnv& env) -> Status {
         Step(5, "last phase-1 action zeroed RVP1 and enqueued the "
@@ -141,7 +140,7 @@ int main() {
         return Status::OK();
       });
 
-  const Status s = engine.Run(dtxn, std::move(g));
+  const Status s = engine.Run(dtxn);
   Step(10, "storage manager committed; completion messages enqueued to "
            "WH/DI/CU/HI executors");
   Step(11, "executors pick the committed transaction id from their "

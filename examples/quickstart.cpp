@@ -86,8 +86,7 @@ int main() {
     engine.Start();
 
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph graph;
-    graph.AddPhase().AddAction(
+    dtxn->AddPhase().AddAction(
         accounts, /*routing_value=*/3, dora::LocalMode::kX,
         [&](dora::ActionEnv& env) -> Status {
           KeyBuilder key;
@@ -103,7 +102,7 @@ int main() {
           return env.db->Update(env.txn, accounts, e.rid, record,
                                 AccessOptions::NoCc());
         });
-    const Status s = engine.Run(dtxn, std::move(graph));
+    const Status s = engine.Run(dtxn);
     std::printf("[lifetime 1] dora flow graph finished: %s (committed=%lu)\n",
                 s.ToString().c_str(),
                 static_cast<unsigned long>(engine.txns_committed()));

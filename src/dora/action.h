@@ -1,5 +1,5 @@
-// DORA actions, rendezvous points (RVPs), transaction flow graphs, and the
-// per-transaction execution context (paper §4.1.2-4.1.3).
+// DORA actions, rendezvous points (RVPs), and the per-transaction execution
+// context that holds a transaction's flow graph (paper §4.1.2-4.1.3).
 //
 // An action is "a subset of a transaction's code which involves access to a
 // single or a small set of records from the same table"; its identifier is
@@ -7,23 +7,27 @@
 // separate a transaction into phases; actions of different phases never run
 // concurrently.
 //
-// Executor messaging: actions and completion messages are both intrusive
-// inbox entries (InboxEntry over util/mpsc_queue.h), so an executor drains
-// one lock-free queue and wakes at most once per batch. Transaction
-// contexts are pooled in per-executor arenas (dora/arena.h) and recycled —
-// via an intrusive reference count — once the client and every completion
-// message are done with them, which removes all per-transaction
-// malloc/free of graph state from the steady-state path.
+// The dispatcher builds the graph in the transaction's own context
+// (DoraTxn::AddPhase / AddAction), which constructs each Action once, in
+// place, where the executors will run it. Executor messaging: actions and
+// completion messages are both intrusive inbox entries (InboxEntry over
+// util/mpsc_queue.h), so an executor drains one lock-free queue and wakes
+// at most once per batch. Contexts are pooled in per-executor arenas
+// (dora/arena.h) and recycled, via an intrusive reference count, once the
+// client and every completion message are done with them, so a warmed-up
+// engine builds and dispatches graphs without per-transaction malloc/free.
 
 #ifndef DORADB_DORA_ACTION_H_
 #define DORADB_DORA_ACTION_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -154,6 +158,20 @@ struct InboxEntry : MpscNode {
 // A unit of work routed to the executor owning the dataset it touches.
 struct Action : InboxEntry {
   Action() { kind = Kind::kAction; }
+  // Constructs the body in place from the caller's callable
+  // (DoraTxn::AddAction).
+  template <typename F>
+  Action(DoraTxn* t, TableId tbl, uint64_t value, bool whole, LocalMode m,
+         size_t ph, F&& f)
+      : dtxn(t),
+        table(tbl),
+        routing_value(value),
+        whole_dataset(whole),
+        mode(m),
+        body(std::forward<F>(f)),
+        phase(ph) {
+    kind = Kind::kAction;
+  }
 
   DoraTxn* dtxn = nullptr;
   TableId table = 0;
@@ -192,7 +210,7 @@ struct WakeMsg : InboxEntry {
 // Rendezvous point: counts down as the actions of its phase complete; the
 // zeroing executor initiates the next phase (or commit/abort, §4.1.3).
 // Copyable so RVPs live in a plain (capacity-recycled) vector — copies
-// only ever happen during single-threaded graph materialization.
+// only ever happen in Run's resize, before any action is dispatched.
 struct Rvp {
   std::atomic<int32_t> remaining{0};
 
@@ -206,67 +224,17 @@ struct Rvp {
   }
 };
 
-// Declarative transaction flow graph, built by the dispatcher. Phases run
-// in order; actions within a phase run in parallel on their executors.
-class FlowGraph {
- public:
-  FlowGraph() = default;
-
-  FlowGraph& AddPhase() {
-    phases_.emplace_back();
-    return *this;
-  }
-
-  // Add an action to the last phase.
-  FlowGraph& AddAction(TableId table, uint64_t routing_value, LocalMode mode,
-                       ActionBody body) {
-    phases_.back().push_back(
-        ActionSpec{table, routing_value, false, mode, std::move(body)});
-    return *this;
-  }
-
-  // Dataset-wide action (identifier = empty set): conflicts with every
-  // action on the executor's datasets.
-  FlowGraph& AddWholeDatasetAction(TableId table, uint32_t executor_index,
-                                   LocalMode mode, ActionBody body) {
-    phases_.back().push_back(ActionSpec{table, executor_index, true, mode,
-                                        std::move(body)});
-    return *this;
-  }
-
-  struct ActionSpec {
-    TableId table;
-    uint64_t routing_value;
-    bool whole_dataset;
-    LocalMode mode;
-    ActionBody body;
-  };
-
-  const std::vector<std::vector<ActionSpec>>& phases() const {
-    return phases_;
-  }
-  std::vector<std::vector<ActionSpec>>& phases() { return phases_; }
-  size_t num_actions() const {
-    size_t n = 0;
-    for (const auto& p : phases_) n += p.size();
-    return n;
-  }
-
-  // §A.4: derive the serial plan — each action in its own phase, in order.
-  // The plan advisor switches high-abort transactions to this plan
-  // ("inserting empty rendezvous points between actions of the same phase").
-  FlowGraph Serialized() &&;
-
- private:
-  std::vector<std::vector<ActionSpec>> phases_;
-};
-
-// Per-transaction execution context shared by dispatcher and executors.
+// Per-transaction execution context shared by dispatcher and executors,
+// and the transaction's flow graph: the dispatcher adds its phases and
+// actions here before DoraEngine::Run. Phases run in order; actions within
+// a phase run in parallel on their executors.
 //
 // Lifetime: reference-counted. The client's handle (DoraTxnRef) holds one
-// reference; every in-flight completion message holds another. The last release recycles the context into its home arena with
-// all vector capacities intact, so a warmed-up engine materializes and
-// dispatches flow graphs without touching the allocator.
+// reference; every in-flight completion message holds another. The last
+// release destroys the actions (and their bodies' captures) and recycles
+// the context into its home arena with all vector capacities intact, so a
+// warmed-up engine builds and dispatches flow graphs without touching the
+// allocator.
 class DoraTxn {
  public:
   // Standalone construction (tests, non-pooled use): the caller owns the
@@ -279,6 +247,51 @@ class DoraTxn {
 
   Database* db() { return db_; }
   Transaction* txn() { return txn_.get(); }
+
+  // --- flow graph (built before Run, read-only while it runs) ---
+
+  // Start a new phase: the actions added next belong to it. Every phase
+  // needs at least one action (its RVP counts them down).
+  DoraTxn& AddPhase() {
+    phase_starts_.push_back(actions.size());
+    return *this;
+  }
+
+  // Add an action to the last phase, constructing it (and its body, from
+  // `body`) in place.
+  template <typename F>
+  DoraTxn& AddAction(TableId table, uint64_t routing_value, LocalMode mode,
+                     F&& body) {
+    return Emplace(table, routing_value, false, mode, std::forward<F>(body));
+  }
+
+  // Dataset-wide action (identifier = empty set): conflicts with every
+  // action on the executor's datasets.
+  template <typename F>
+  DoraTxn& AddWholeDatasetAction(TableId table, uint32_t executor_index,
+                                 LocalMode mode, F&& body) {
+    return Emplace(table, executor_index, true, mode, std::forward<F>(body));
+  }
+
+  // §A.4: switch to the serial plan, each action in its own phase, in the
+  // order added. The plan advisor switches high-abort transactions to it
+  // ("inserting empty rendezvous points between actions of the same
+  // phase"). Call it after the last action.
+  void UseSerialPlan() {
+    phase_starts_.resize(actions.size());
+    for (size_t i = 0; i < actions.size(); ++i) {
+      phase_starts_[i] = i;
+      actions[i].phase = i;
+    }
+  }
+
+  size_t num_phases() const { return phase_starts_.size(); }
+  // The actions of phase `p`, contiguous in `actions`.
+  std::span<Action> phase(size_t p) {
+    const size_t end = p + 1 < phase_starts_.size() ? phase_starts_[p + 1]
+                                                    : actions.size();
+    return {actions.data() + phase_starts_[p], end - phase_starts_[p]};
+  }
 
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
   void MarkAborted(const Status& why) {
@@ -344,18 +357,25 @@ class DoraTxn {
     refs_.store(1, std::memory_order_relaxed);
   }
 
-  // Materialized graph state (owned by the txn context; capacities survive
-  // recycling).
-  std::vector<Action> actions;                      // phase-major
-  std::vector<Rvp> rvps;                            // one per phase
-  std::vector<std::vector<Action*>> phase_actions;  // per phase
-  std::vector<CompletionMsg> completion_msgs;       // one per participant
-  std::vector<Executor*> scratch_owners;            // fan-out scratch
-
-  size_t num_phases() const { return phase_actions.size(); }
+  // Graph and fan-out state (capacities survive recycling).
+  std::vector<Action> actions;                 // phase-major
+  std::vector<Rvp> rvps;                       // one per phase (Run)
+  std::vector<CompletionMsg> completion_msgs;  // one per participant
+  std::vector<Executor*> scratch_owners;       // fan-out scratch
 
  private:
   friend class TxnArena;
+
+  template <typename F>
+  DoraTxn& Emplace(TableId table, uint64_t value, bool whole, LocalMode mode,
+                   F&& body) {
+    assert(!phase_starts_.empty());  // AddPhase before the first action
+    actions.emplace_back(this, table, value, whole, mode,
+                         phase_starts_.size() - 1, std::forward<F>(body));
+    return *this;
+  }
+
+  std::vector<size_t> phase_starts_;  // offset of each phase's first action
 
   Database* db_ = nullptr;
   std::unique_ptr<Transaction> txn_;

@@ -1,15 +1,12 @@
 // Per-executor transaction-context arenas.
 //
-// BeginTxn used to malloc a shared_ptr control block, a DoraTxn, one
-// unique_ptr'd Action per action, one Rvp per phase, and the registry
-// entry keeping it all alive — a dozen allocator round-trips per
-// transaction sitting squarely on the per-action hot path the paper wants
-// contention-free. The arena keeps a free list of fully-constructed
-// DoraTxn contexts: recycling happens when the last reference (client
-// handle or completion message) drops — i.e. as a consequence
-// of FinishTxn's fan-out draining — and returns the context with every
-// vector's capacity intact, so a warmed-up engine runs transactions with
-// zero graph-state allocations.
+// The arena keeps a free list of fully-constructed DoraTxn contexts, each
+// of which holds its transaction's flow graph. Recycling happens when the
+// last reference (client handle or completion message) drops, i.e. as a
+// consequence of FinishTxn's fan-out draining: the context's actions, and
+// with them their captures, are destroyed, and every vector keeps its
+// capacity, so a warmed-up engine builds and runs transactions with zero
+// graph-state allocations.
 //
 // One arena per executor (clients pick one with a sticky thread-local
 // index) keeps the free-list latch sharded the same way the inboxes are.
@@ -54,10 +51,12 @@ class TxnArena {
   }
 
   // Called by DoraTxn::Unref on the last release. Drops the storage-level
-  // Transaction (its work finished at commit/abort) but keeps the graph
-  // vectors' capacity.
+  // Transaction (its work finished at commit/abort) and the graph, but
+  // keeps the vectors' capacity.
   void Recycle(DoraTxn* t) {
     t->txn_.reset();
+    t->actions.clear();  // destroys the bodies and their captures
+    t->phase_starts_.clear();
     recycles_.fetch_add(1, std::memory_order_relaxed);
     TatasGuard g(mu_);
     free_.push_back(t);

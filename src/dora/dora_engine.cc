@@ -160,7 +160,7 @@ void DoraEngine::Start() {
     cb(prefix + ".inbox_depth", [e] { return e->inbox_depth(); },
        obs::MetricType::kGauge, "msgs");
     cb(prefix + ".load",
-       [e] { return static_cast<int64_t>(e->load_counter()); }, kCtr,
+       [e] { return static_cast<int64_t>(e->actions_executed()); }, kCtr,
        "actions");
   }
 }
@@ -197,45 +197,21 @@ DoraTxnRef DoraEngine::BeginTxn() {
   return DoraTxnRef::Adopt(t);
 }
 
-Status DoraEngine::Run(const DoraTxnRef& dtxn, FlowGraph&& graph) {
+Status DoraEngine::Run(const DoraTxnRef& dtxn) {
   // A registration whose routing config never reached the catalog must
   // not execute: after a restart that wiring would silently not exist.
   if (!registration_status_.ok()) return registration_status_;
   DoraTxn* t = dtxn.get();
-  // Materialize the flow graph into actions + RVPs owned by the txn
-  // context (all storage capacity-recycled across transactions).
-  auto& phases = graph.phases();
-  const size_t total = graph.num_actions();
-  if (phases.empty() || total == 0) {
+  const size_t phases = t->num_phases();
+  if (phases == 0) {
     const Status s = db_->Commit(t->txn());
     t->Complete(s);
     return s;
   }
-  t->actions.clear();
-  t->actions.resize(total);
-  t->rvps.clear();
-  t->rvps.resize(phases.size());
-  t->phase_actions.resize(phases.size());
-  size_t idx = 0;
-  for (size_t p = 0; p < phases.size(); ++p) {
-    t->rvps[p].remaining.store(static_cast<int32_t>(phases[p].size()),
+  t->rvps.resize(phases);
+  for (size_t p = 0; p < phases; ++p) {
+    t->rvps[p].remaining.store(static_cast<int32_t>(t->phase(p).size()),
                                std::memory_order_relaxed);
-    auto& pa = t->phase_actions[p];
-    pa.clear();
-    for (auto& spec : phases[p]) {
-      Action& a = t->actions[idx++];
-      a.dtxn = t;
-      a.table = spec.table;
-      a.routing_value = spec.routing_value;
-      a.whole_dataset = spec.whole_dataset;
-      a.mode = spec.mode;
-      a.body = std::move(spec.body);
-      a.phase = p;
-      a.owner = nullptr;
-      a.ticket = 0;
-      a.parked_at = 0;
-      pa.push_back(&a);
-    }
   }
   obs::CommitTracer::Stamp(t->txn()->id(), obs::TraceStage::kDispatch);
   Executor* host = GuestHost(t);
@@ -273,9 +249,9 @@ Executor* DoraEngine::GuestHost(DoraTxn* dtxn) const {
     return nullptr;
   }
   Executor* host = nullptr;
-  for (const Action* a : dtxn->phase_actions[0]) {
-    if (a->whole_dataset) return nullptr;
-    Executor* e = RouteToExecutor(a->table, a->routing_value);
+  for (const Action& a : dtxn->actions) {
+    if (a.whole_dataset) return nullptr;
+    Executor* e = RouteToExecutor(a.table, a.routing_value);
     if (host != nullptr && e != host) return nullptr;
     host = e;
   }
@@ -328,17 +304,16 @@ std::vector<TableId> DoraEngine::RegisteredTables() const {
 
 void DoraEngine::DispatchPhase(DoraTxn* dtxn, size_t phase) {
   ScopedTimeClass timer(TimeClass::kDoraQueue);
-  auto& actions = dtxn->phase_actions[phase];
+  const std::span<Action> actions = dtxn->phase(phase);
   Executor* first = nullptr;
   bool multi = false;
-  for (Action* a : actions) {
-    a->owner = a->whole_dataset
-                   ? ExecutorAt(a->table,
-                                static_cast<uint32_t>(a->routing_value))
-                   : RouteToExecutor(a->table, a->routing_value);
+  for (Action& a : actions) {
+    a.owner = a.whole_dataset
+                  ? ExecutorAt(a.table, static_cast<uint32_t>(a.routing_value))
+                  : RouteToExecutor(a.table, a.routing_value);
     if (first == nullptr) {
-      first = a->owner;
-    } else if (a->owner != first) {
+      first = a.owner;
+    } else if (a.owner != first) {
       multi = true;
     }
   }
@@ -353,9 +328,9 @@ void DoraEngine::DispatchPhase(DoraTxn* dtxn, size_t phase) {
   // executor's drain stamp precedes it.
   obs::CommitTracer::Stamp(dtxn->txn()->id(), obs::TraceStage::kEnqueue);
   const uint64_t ticket = multi ? tickets_.Take() : 0;
-  for (Action* a : actions) {
-    a->ticket = ticket;
-    a->owner->PushToInbox(a);
+  for (Action& a : actions) {
+    a.ticket = ticket;
+    a.owner->PushToInbox(&a);
   }
   if (multi) tickets_.Publish(ticket);
 }
@@ -410,9 +385,12 @@ void DoraEngine::FinishTxn(DoraTxn* dtxn, Executor* local) {
       // Abort attribution by reason ("dora.aborts.deadlock" etc.) — the
       // paper's resource manager decides serial-plan switches on exactly
       // this signal.
-      obs::MetricsRegistry::Default()
-          .GetCounter(std::string("dora.aborts.") + s.CodeName(), "txns")
-          ->Add();
+      const size_t code = static_cast<size_t>(s.code());
+      std::call_once(abort_counter_once_[code], [&] {
+        abort_counters_[code] = obs::MetricsRegistry::Default().GetCounter(
+            std::string("dora.aborts.") + s.CodeName(), "txns");
+      });
+      abort_counters_[code]->Add();
     }
   } else {
     // Pipelined commit (§5.4 flush pipelining + early lock release): append
@@ -515,14 +493,12 @@ Status DoraEngine::MigrateRoutingRule(TableId table,
     // enqueued under the old rule afterwards.
     const auto t0 = std::chrono::steady_clock::now();
     auto dtxn = BeginTxn();
-    FlowGraph g;
-    g.AddPhase();
+    dtxn->AddPhase();
     for (const uint32_t i : affected) {
-      g.AddWholeDatasetAction(table, i, LocalMode::kX,
-                              [](ActionEnv&) { return Status::OK(); });
+      dtxn->AddWholeDatasetAction(table, i, LocalMode::kX,
+                                  [](ActionEnv&) { return Status::OK(); });
     }
-    g.AddPhase();
-    g.AddWholeDatasetAction(
+    dtxn->AddPhase().AddWholeDatasetAction(
         table, *affected.begin(), LocalMode::kX,
         [group, rule](ActionEnv&) {
           // Under the fence's X locks: a concurrent migration that won the
@@ -535,7 +511,7 @@ Status DoraEngine::MigrateRoutingRule(TableId table,
           group->routing.Install(rule);
           return Status::OK();
         });
-    DORADB_RETURN_NOT_OK(Run(dtxn, std::move(g)));
+    DORADB_RETURN_NOT_OK(Run(dtxn));
     const uint64_t ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)

@@ -28,14 +28,17 @@
 //   ...
 //   engine.Start();
 //   auto dtxn = engine.BeginTxn();
-//   FlowGraph g; ...build phases/actions...
-//   Status s = engine.Run(dtxn, std::move(g));   // blocks (closed loop)
+//   dtxn->AddPhase().AddAction(warehouse_tid, w_id, LocalMode::kX, body);
+//   ...more actions and phases...
+//   Status s = engine.Run(dtxn);   // blocks (closed loop)
 
 #ifndef DORADB_DORA_DORA_ENGINE_H_
 #define DORADB_DORA_DORA_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +47,7 @@
 #include "dora/executor.h"
 #include "dora/routing.h"
 #include "dora/ticket.h"
+#include "obs/metrics.h"
 
 namespace doradb {
 namespace dora {
@@ -129,12 +133,12 @@ class DoraEngine {
 
   DoraTxnRef BeginTxn();
 
-  // Materialize the graph, then run it inline as a guest of its executor
-  // (one phase, one executor, executor idle) or dispatch phase 0
-  // (ticket-ordered enqueue); wait for the terminal RVP, then for the
-  // commit's durability (Database::AwaitCommit), on this thread either way.
-  // Returns the transaction's final status.
-  Status Run(const DoraTxnRef& dtxn, FlowGraph&& graph);
+  // Run the flow graph built in `dtxn`: set its RVP counts, then run it
+  // inline as a guest of its executor (one phase, one executor, executor
+  // idle) or dispatch phase 0 (ticket-ordered enqueue); wait for the
+  // terminal RVP, then for the commit's durability (Database::AwaitCommit),
+  // on this thread either way. Returns the transaction's final status.
+  Status Run(const DoraTxnRef& dtxn);
 
   // --- routing ---
 
@@ -269,6 +273,13 @@ class DoraEngine {
   std::atomic<uint64_t> pipelined_{0};
   std::atomic<uint64_t> acked_inline_{0};
   std::atomic<uint64_t> inline_{0};
+
+  // dora.aborts.<code>, each looked up in the registry at the first abort
+  // with that code (FinishTxn).
+  static constexpr size_t kNumCodes =
+      static_cast<size_t>(Status::Code::kUnavailable) + 1;
+  std::array<std::once_flag, kNumCodes> abort_counter_once_;
+  std::array<obs::Counter*, kNumCodes> abort_counters_{};
 
   // Metrics-registry callback tokens (registered by Start, released by
   // Stop — the callbacks read this engine's executors, so they must not

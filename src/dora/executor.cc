@@ -201,10 +201,10 @@ bool Executor::RunAsGuest(DoraTxn* t) {
   guest_txn_ = t;
   guest_finish_ = false;
   guest_parked_ = false;
-  for (Action* a : t->phase_actions[0]) {
-    a->owner = this;
-    a->ticket = 0;
-    AdmitAction(a);
+  for (Action& a : t->actions) {
+    a.owner = this;
+    a.ticket = 0;
+    AdmitAction(&a);
   }
   // Every action ran here: commit (CommitAppend, horizon raise) before any
   // lock goes, then release the locks locally (ReleaseLocks). Whatever
@@ -366,7 +366,6 @@ bool Executor::ProcessInbox(MpscNode* chain) {
 }
 
 void Executor::AdmitAction(Action* a) {
-  load_counter_.fetch_add(1, std::memory_order_relaxed);
   // A routing-rule change may have happened after this action was
   // dispatched; bounce stale-routed actions to the current owner.
   if (!a->whole_dataset &&

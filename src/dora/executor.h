@@ -78,6 +78,8 @@ class Executor {
   void ReleaseLocks(DoraTxn* t);
 
   // --- stats ---
+  // Actions run here, bodies skipped on abort included
+  // (dora.exec.<g>.load).
   uint64_t actions_executed() const {
     return actions_executed_.load(std::memory_order_relaxed);
   }
@@ -91,10 +93,6 @@ class Executor {
   }
   // Producer-side futex wakes (pushes that found this executor parked).
   uint64_t inbox_wakeups() const { return inbox_.wakeups(); }
-  // Actions admitted so far (dora.exec.<g>.load).
-  uint64_t load_counter() const {
-    return load_counter_.load(std::memory_order_relaxed);
-  }
   // Messages ever pushed via PushToInbox. pushed - items approximates the
   // live inbox depth (the per-executor load gauge the repartitioning
   // roadmap item consumes); it undercounts by pushes made while metrics
@@ -185,7 +183,6 @@ class Executor {
 
   std::thread thread_;
   std::atomic<uint64_t> actions_executed_{0};
-  std::atomic<uint64_t> load_counter_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> items_{0};
   std::atomic<uint64_t> pushed_{0};

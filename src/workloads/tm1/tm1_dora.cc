@@ -17,9 +17,8 @@ template <typename Body>
 Status RunOneAction(dora::DoraEngine* e, TableId table, uint64_t s_id,
                     dora::LocalMode mode, Body&& body) {
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase().AddAction(table, s_id, mode, std::forward<Body>(body));
-  return e->Run(dtxn, std::move(g));
+  dtxn->AddPhase().AddAction(table, s_id, mode, std::forward<Body>(body));
+  return e->Run(dtxn);
 }
 
 }  // namespace
@@ -78,8 +77,7 @@ Status Tm1Workload::DoraGetNewDestination(dora::DoraEngine* e,
 
   // Both reads run in parallel; the outcome is decided client-side.
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(schema_.special_facility, in.s_id, dora::LocalMode::kS,
                  [this, in, st](dora::ActionEnv& env) -> Status {
                    SpecialFacilityRow sf;
@@ -95,7 +93,7 @@ Status Tm1Workload::DoraGetNewDestination(dora::DoraEngine* e,
                    st->cf_found = s.ok();
                    return s.IsNotFound() ? Status::OK() : s;
                  });
-  DORADB_RETURN_NOT_OK(e->Run(dtxn, std::move(g)));
+  DORADB_RETURN_NOT_OK(e->Run(dtxn));
   if (!st->sf_active.load() || !st->cf_found.load()) {
     return Status::NotFound("no destination");  // user-level failure
   }
@@ -105,25 +103,23 @@ Status Tm1Workload::DoraGetNewDestination(dora::DoraEngine* e,
 Status Tm1Workload::DoraUpdateSubscriberData(dora::DoraEngine* e,
                                              const Input& in) {
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase();
   // SpecialFacility first: under the serial plan (DORA-S) this runs first
   // and aborts cheaply before any Subscriber work is wasted (§A.4, Fig 11).
-  g.AddAction(schema_.special_facility, in.s_id, dora::LocalMode::kX,
-              [this, in](dora::ActionEnv& env) {
-                return SetFacilityData(env.txn, kDoraCc, in);
-              });
-  g.AddAction(schema_.subscriber, in.s_id, dora::LocalMode::kX,
-              [this, in](dora::ActionEnv& env) {
-                return SetSubscriberBit(env.txn, kDoraCc, in);
-              });
-
-  const bool serial =
-      plan_mode_ == PlanMode::kSerial ||
+  dtxn->AddPhase()
+      .AddAction(schema_.special_facility, in.s_id, dora::LocalMode::kX,
+                 [this, in](dora::ActionEnv& env) {
+                   return SetFacilityData(env.txn, kDoraCc, in);
+                 })
+      .AddAction(schema_.subscriber, in.s_id, dora::LocalMode::kX,
+                 [this, in](dora::ActionEnv& env) {
+                   return SetSubscriberBit(env.txn, kDoraCc, in);
+                 });
+  if (plan_mode_ == PlanMode::kSerial ||
       (plan_mode_ == PlanMode::kAuto &&
-       advisor_.RecommendSerial(kUpdateSubscriberData));
-  const Status s = e->Run(
-      dtxn, serial ? std::move(g).Serialized() : std::move(g));
+       advisor_.RecommendSerial(kUpdateSubscriberData))) {
+    dtxn->UseSerialPlan();
+  }
+  const Status s = e->Run(dtxn);
   if (plan_mode_ == PlanMode::kAuto) {
     advisor_.RecordOutcome(kUpdateSubscriberData, !s.ok());
   }
@@ -146,23 +142,23 @@ Status Tm1Workload::DoraUpdateLocation(dora::DoraEngine* e,
 Status Tm1Workload::DoraInsertCallForwarding(dora::DoraEngine* e,
                                              const Input& in) {
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
   // Phase 1: the special facility must exist (read-only check).
-  g.AddPhase().AddAction(schema_.special_facility, in.s_id,
-                         dora::LocalMode::kS,
-                         [this, in](dora::ActionEnv& env) {
-                           SpecialFacilityRow sf;
-                           return ReadSpecialFacility(env.txn, kDoraCc, in,
-                                                      &sf);
-                         });
+  dtxn->AddPhase().AddAction(schema_.special_facility, in.s_id,
+                             dora::LocalMode::kS,
+                             [this, in](dora::ActionEnv& env) {
+                               SpecialFacilityRow sf;
+                               return ReadSpecialFacility(env.txn, kDoraCc,
+                                                          in, &sf);
+                             });
   // Phase 2 (after the RVP): insert the call forwarding. The insert takes
   // the centralized RID lock — the only lock manager interaction (§4.2.1).
-  g.AddPhase().AddAction(schema_.call_forwarding, in.s_id,
-                         dora::LocalMode::kX,
-                         [this, in](dora::ActionEnv& env) {
-                           return InsertCallForwarding(env.txn, kDoraCc, in);
-                         });
-  return e->Run(dtxn, std::move(g));
+  dtxn->AddPhase().AddAction(schema_.call_forwarding, in.s_id,
+                             dora::LocalMode::kX,
+                             [this, in](dora::ActionEnv& env) {
+                               return InsertCallForwarding(env.txn, kDoraCc,
+                                                           in);
+                             });
+  return e->Run(dtxn);
 }
 
 }  // namespace tm1

@@ -22,10 +22,9 @@ void TpcbWorkload::SetupDora(dora::DoraEngine* engine) {
 Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
   const Input in = MakeInput(rng);
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
   // All four actions are mutually independent: a single phase (the history
   // row is built from transaction inputs alone, unlike TPC-C Payment).
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(schema_.account, in.a_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) {
                    return UpdateAccount(env.txn, kDoraCc, in);
@@ -43,7 +42,7 @@ Status TpcbWorkload::RunDora(dora::DoraEngine* e, uint32_t, Rng& rng) {
                  [this, in](dora::ActionEnv& env) {
                    return InsertHistory(env.txn, kDoraCc, in);
                  });
-  return e->Run(dtxn, std::move(g));
+  return e->Run(dtxn);
 }
 
 }  // namespace tpcb

@@ -60,9 +60,8 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
   const uint8_t districts = config_.districts;
 
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
   // Phase 1: consume the oldest NewOrder of every district.
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       schema_.new_order, in.w_id, dora::LocalMode::kX,
       [this, in, districts, st](dora::ActionEnv& env) -> Status {
         for (uint8_t d = 1; d <= districts; ++d) {
@@ -77,7 +76,7 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
   // Phase 2: order carrier stamps + order-line delivery, one action per
   // table (atomically enqueued together to keep {OR, OL} ordering
   // consistent with NewOrder's and OrderStatus's batches).
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(schema_.order, in.w_id, dora::LocalMode::kX,
                  [this, in, districts, st](dora::ActionEnv& env) -> Status {
                    for (uint8_t d = 1; d <= districts; ++d) {
@@ -106,7 +105,7 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
                    return Status::OK();
                  });
   // Phase 3: credit the customers.
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       schema_.customer, in.w_id, dora::LocalMode::kX,
       [this, in, districts, st](dora::ActionEnv& env) -> Status {
         for (uint8_t d = 1; d <= districts; ++d) {
@@ -123,7 +122,7 @@ Status TpccWorkload::DoraDelivery(dora::DoraEngine* e, Rng& rng) {
         }
         return Status::OK();
       });
-  return e->Run(dtxn, std::move(g));
+  return e->Run(dtxn);
 }
 
 // ------------------------------------------------------------ StockLevel
@@ -151,8 +150,7 @@ Status TpccWorkload::DoraStockLevel(dora::DoraEngine* e, Rng& rng) {
   auto st = std::make_shared<State>();
 
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       schema_.district, in.w_id, dora::LocalMode::kS,
       [this, in, st](dora::ActionEnv& env) -> Status {
         uint32_t next_o;
@@ -160,20 +158,20 @@ Status TpccWorkload::DoraStockLevel(dora::DoraEngine* e, Rng& rng) {
         st->next_o.store(next_o, std::memory_order_relaxed);
         return Status::OK();
       });
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       schema_.order_line, in.w_id, dora::LocalMode::kS,
       [this, in, st](dora::ActionEnv& env) {
         return RecentItems(env.txn, kDoraCc, in,
                            st->next_o.load(std::memory_order_relaxed),
                            &st->items);
       });
-  g.AddPhase().AddAction(schema_.stock, in.w_id, dora::LocalMode::kS,
-                         [this, in, st](dora::ActionEnv& env) {
-                           int low;
-                           return CountLowStock(env.txn, kDoraCc, in,
-                                                st->items, &low);
-                         });
-  return e->Run(dtxn, std::move(g));
+  dtxn->AddPhase().AddAction(schema_.stock, in.w_id, dora::LocalMode::kS,
+                             [this, in, st](dora::ActionEnv& env) {
+                               int low;
+                               return CountLowStock(env.txn, kDoraCc, in,
+                                                    st->items, &low);
+                             });
+  return e->Run(dtxn);
 }
 
 }  // namespace tpcc

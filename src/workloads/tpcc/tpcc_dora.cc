@@ -34,8 +34,7 @@ Status TpccWorkload::DoraPayment(dora::DoraEngine* e, Rng& rng) {
   auto resolved_c = std::make_shared<std::atomic<uint32_t>>(0);
 
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(schema_.warehouse, in.w_id, dora::LocalMode::kX,
                  [this, in](dora::ActionEnv& env) {
                    return PayWarehouse(env.txn, kDoraCc, in);
@@ -53,13 +52,13 @@ Status TpccWorkload::DoraPayment(dora::DoraEngine* e, Rng& rng) {
                    return Status::OK();
                  });
   // RVP, then the History insert (the only centralized lock: its RID).
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       schema_.history, in.w_id, dora::LocalMode::kX,
       [this, in, resolved_c](dora::ActionEnv& env) {
         return InsertHistory(env.txn, kDoraCc, in,
                              resolved_c->load(std::memory_order_relaxed));
       });
-  return e->Run(dtxn, std::move(g));
+  return e->Run(dtxn);
 }
 
 Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
@@ -72,24 +71,24 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
   auto st = std::make_shared<State>();
 
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
-  g.AddPhase();
+  dtxn->AddPhase();
   // Phase 1: reads + district order-id allocation, in parallel.
-  g.AddAction(schema_.warehouse, in.w_id, dora::LocalMode::kS,
-              [this, in](dora::ActionEnv& env) {
-                return ReadWarehouse(env.txn, kDoraCc, in);
-              });
-  g.AddAction(schema_.customer, in.w_id, dora::LocalMode::kS,
-              [this, in](dora::ActionEnv& env) {
-                return ReadCustomer(env.txn, kDoraCc, in);
-              });
-  g.AddAction(schema_.district, in.w_id, dora::LocalMode::kX,
-              [this, in, st](dora::ActionEnv& env) -> Status {
-                uint32_t o_id;
-                DORADB_RETURN_NOT_OK(NextOrderId(env.txn, kDoraCc, in, &o_id));
-                st->o_id.store(o_id, std::memory_order_relaxed);
-                return Status::OK();
-              });
+  dtxn->AddAction(schema_.warehouse, in.w_id, dora::LocalMode::kS,
+                  [this, in](dora::ActionEnv& env) {
+                    return ReadWarehouse(env.txn, kDoraCc, in);
+                  });
+  dtxn->AddAction(schema_.customer, in.w_id, dora::LocalMode::kS,
+                  [this, in](dora::ActionEnv& env) {
+                    return ReadCustomer(env.txn, kDoraCc, in);
+                  });
+  dtxn->AddAction(schema_.district, in.w_id, dora::LocalMode::kX,
+                  [this, in, st](dora::ActionEnv& env) -> Status {
+                    uint32_t o_id;
+                    DORADB_RETURN_NOT_OK(
+                        NextOrderId(env.txn, kDoraCc, in, &o_id));
+                    st->o_id.store(o_id, std::memory_order_relaxed);
+                    return Status::OK();
+                  });
   // Item reads, grouped by executor (identifier = first item of the group;
   // Item is read-only so the group lock is only a routing anchor).
   {
@@ -99,19 +98,20 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
     }
     for (auto& [exec_idx, line_idxs] : groups) {
       const uint64_t anchor = in.items[line_idxs[0]];
-      g.AddAction(schema_.item, anchor, dora::LocalMode::kS,
-                  [this, in, st, line_idxs](dora::ActionEnv& env) -> Status {
-                    for (uint8_t i : line_idxs) {
-                      DORADB_RETURN_NOT_OK(ReadItemPrice(
-                          env.txn, kDoraCc, in.items[i], &st->price[i]));
-                    }
-                    return Status::OK();
-                  });
+      dtxn->AddAction(
+          schema_.item, anchor, dora::LocalMode::kS,
+          [this, in, st, line_idxs](dora::ActionEnv& env) -> Status {
+            for (uint8_t i : line_idxs) {
+              DORADB_RETURN_NOT_OK(ReadItemPrice(env.txn, kDoraCc, in.items[i],
+                                                 &st->price[i]));
+            }
+            return Status::OK();
+          });
     }
   }
 
   // Phase 2 (after the RVP): stock updates + all inserts.
-  g.AddPhase();
+  dtxn->AddPhase();
   {
     // One stock action per supplying warehouse (routing field = w).
     std::unordered_map<uint32_t, std::vector<uint8_t>> by_supplier;
@@ -119,39 +119,39 @@ Status TpccWorkload::DoraNewOrder(dora::DoraEngine* e, Rng& rng) {
       by_supplier[in.supply_w[i]].push_back(i);
     }
     for (auto& [supply_w, line_idxs] : by_supplier) {
-      g.AddAction(schema_.stock, supply_w, dora::LocalMode::kX,
-                  [this, in, line_idxs](dora::ActionEnv& env) -> Status {
-                    for (uint8_t i : line_idxs) {
-                      DORADB_RETURN_NOT_OK(
-                          UpdateStock(env.txn, kDoraCc, in, i));
+      dtxn->AddAction(schema_.stock, supply_w, dora::LocalMode::kX,
+                      [this, in, line_idxs](dora::ActionEnv& env) -> Status {
+                        for (uint8_t i : line_idxs) {
+                          DORADB_RETURN_NOT_OK(
+                              UpdateStock(env.txn, kDoraCc, in, i));
+                        }
+                        return Status::OK();
+                      });
+    }
+  }
+  dtxn->AddAction(schema_.order, in.w_id, dora::LocalMode::kX,
+                  [this, in, st](dora::ActionEnv& env) {
+                    return InsertOrder(
+                        env.txn, kDoraCc, in,
+                        st->o_id.load(std::memory_order_relaxed));
+                  });
+  dtxn->AddAction(schema_.new_order, in.w_id, dora::LocalMode::kX,
+                  [this, in, st](dora::ActionEnv& env) {
+                    return InsertNewOrder(
+                        env.txn, kDoraCc, in,
+                        st->o_id.load(std::memory_order_relaxed));
+                  });
+  dtxn->AddAction(schema_.order_line, in.w_id, dora::LocalMode::kX,
+                  [this, in, st](dora::ActionEnv& env) -> Status {
+                    const uint32_t o_id =
+                        st->o_id.load(std::memory_order_relaxed);
+                    for (uint8_t i = 0; i < in.ol_cnt; ++i) {
+                      DORADB_RETURN_NOT_OK(InsertOrderLine(
+                          env.txn, kDoraCc, in, o_id, i, st->price[i]));
                     }
                     return Status::OK();
                   });
-    }
-  }
-  g.AddAction(schema_.order, in.w_id, dora::LocalMode::kX,
-              [this, in, st](dora::ActionEnv& env) {
-                return InsertOrder(env.txn, kDoraCc, in,
-                                   st->o_id.load(std::memory_order_relaxed));
-              });
-  g.AddAction(schema_.new_order, in.w_id, dora::LocalMode::kX,
-              [this, in, st](dora::ActionEnv& env) {
-                return InsertNewOrder(
-                    env.txn, kDoraCc, in,
-                    st->o_id.load(std::memory_order_relaxed));
-              });
-  g.AddAction(schema_.order_line, in.w_id, dora::LocalMode::kX,
-              [this, in, st](dora::ActionEnv& env) -> Status {
-                const uint32_t o_id =
-                    st->o_id.load(std::memory_order_relaxed);
-                for (uint8_t i = 0; i < in.ol_cnt; ++i) {
-                  DORADB_RETURN_NOT_OK(InsertOrderLine(env.txn, kDoraCc, in,
-                                                       o_id, i,
-                                                       st->price[i]));
-                }
-                return Status::OK();
-              });
-  return e->Run(dtxn, std::move(g));
+  return e->Run(dtxn);
 }
 
 Status TpccWorkload::DoraOrderStatus(dora::DoraEngine* e, Rng& rng) {
@@ -159,10 +159,9 @@ Status TpccWorkload::DoraOrderStatus(dora::DoraEngine* e, Rng& rng) {
   auto c_id = std::make_shared<std::atomic<uint32_t>>(0);
 
   auto dtxn = e->BeginTxn();
-  dora::FlowGraph g;
   // Phase 1: resolve + read the customer (by-name probes stay on the
   // customer executor — the index key embeds the routing field).
-  g.AddPhase().AddAction(
+  dtxn->AddPhase().AddAction(
       schema_.customer, in.w_id, dora::LocalMode::kS,
       [this, in, c_id](dora::ActionEnv& env) -> Status {
         Rid c_rid;
@@ -179,7 +178,7 @@ Status TpccWorkload::DoraOrderStatus(dora::DoraEngine* e, Rng& rng) {
   // {Order, OrderLine} in a single atomic batch keeps the local-lock
   // acquisition order consistent with NewOrder's phase-2 batch — the
   // cross-graph deadlock §4.2.3's ordered enqueue is meant to prevent.
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(schema_.order, in.w_id, dora::LocalMode::kS,
                  [this, in, c_id](dora::ActionEnv& env) -> Status {
                    uint32_t o_id;
@@ -197,7 +196,7 @@ Status TpccWorkload::DoraOrderStatus(dora::DoraEngine* e, Rng& rng) {
                    return ReadOrderLines(env.txn, kDoraCc, in.w_id, in.d_id,
                                          o_id, nullptr);
                  });
-  return e->Run(dtxn, std::move(g));
+  return e->Run(dtxn);
 }
 
 }  // namespace tpcc

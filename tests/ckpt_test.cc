@@ -781,20 +781,19 @@ TEST(CkptTest, InlineAckFastPathCompletesWithoutDaemonRoundTrip) {
   constexpr int kTxns = 60;
   for (int t = 0; t < kTxns; ++t) {
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph g;
-    g.AddPhase().AddAction(table, 0, dora::LocalMode::kX,
-                           [&](dora::ActionEnv& env) {
-                             std::string cur;
-                             Status s = env.db->Read(env.txn, table, rid,
-                                                     &cur,
-                                                     AccessOptions::NoCc());
-                             if (!s.ok()) return s;
-                             return env.db->Update(
-                                 env.txn, table, rid,
-                                 std::to_string(std::stoi(cur) + 1),
-                                 AccessOptions::NoCc());
-                           });
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    dtxn->AddPhase().AddAction(table, 0, dora::LocalMode::kX,
+                               [&](dora::ActionEnv& env) {
+                                 std::string cur;
+                                 Status s = env.db->Read(env.txn, table, rid,
+                                                         &cur,
+                                                         AccessOptions::NoCc());
+                                 if (!s.ok()) return s;
+                                 return env.db->Update(
+                                     env.txn, table, rid,
+                                     std::to_string(std::stoi(cur) + 1),
+                                     AccessOptions::NoCc());
+                               });
+    ASSERT_TRUE(engine.Run(dtxn).ok());
   }
   engine.Stop();
   EXPECT_EQ(engine.txns_committed(), static_cast<uint64_t>(kTxns));

@@ -201,14 +201,13 @@ class DoraEngineTest : public ::testing::Test {
 TEST_F(DoraEngineTest, SinglePhaseSingleActionCommits) {
   auto dtxn = engine_->BeginTxn();
   std::atomic<bool> ran{false};
-  FlowGraph g;
-  g.AddPhase().AddAction(table_a_, 5, LocalMode::kX, [&](ActionEnv& env) {
+  dtxn->AddPhase().AddAction(table_a_, 5, LocalMode::kX, [&](ActionEnv& env) {
     ran = true;
     Rid rid;
     return env.db->Insert(env.txn, table_a_, "payload", &rid,
                           AccessOptions::RidOnly());
   });
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   EXPECT_TRUE(ran.load());
   EXPECT_EQ(engine_->txns_committed(), 1u);
   EXPECT_EQ(db_.catalog()->Heap(table_a_)->record_count(), 1u);
@@ -217,8 +216,7 @@ TEST_F(DoraEngineTest, SinglePhaseSingleActionCommits) {
 TEST_F(DoraEngineTest, ActionsRouteToCorrectExecutor) {
   std::atomic<uint32_t> exec_for_low{999}, exec_for_high{999};
   auto dtxn = engine_->BeginTxn();
-  FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(table_a_, 1, LocalMode::kS,
                  [&](ActionEnv& env) {
                    exec_for_low = env.self->index_in_table();
@@ -228,7 +226,7 @@ TEST_F(DoraEngineTest, ActionsRouteToCorrectExecutor) {
         exec_for_high = env.self->index_in_table();
         return Status::OK();
       });
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   EXPECT_EQ(exec_for_low.load(), 0u);
   EXPECT_EQ(exec_for_high.load(), 1u);
 }
@@ -241,8 +239,7 @@ TEST_F(DoraEngineTest, PhasesRunInOrder) {
     order.push_back(v);
   };
   auto dtxn = engine_->BeginTxn();
-  FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(table_a_, 1, LocalMode::kS,
                  [&](ActionEnv&) {
                    record(1);
@@ -252,11 +249,11 @@ TEST_F(DoraEngineTest, PhasesRunInOrder) {
         record(1);
         return Status::OK();
       });
-  g.AddPhase().AddAction(table_b_, 1, LocalMode::kS, [&](ActionEnv&) {
+  dtxn->AddPhase().AddAction(table_b_, 1, LocalMode::kS, [&](ActionEnv&) {
     record(2);
     return Status::OK();
   });
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[2], 2) << "phase 2 must run after both phase-1 actions";
 }
@@ -264,15 +261,14 @@ TEST_F(DoraEngineTest, PhasesRunInOrder) {
 TEST_F(DoraEngineTest, AbortInPhaseOneSkipsPhaseTwo) {
   std::atomic<bool> phase2_ran{false};
   auto dtxn = engine_->BeginTxn();
-  FlowGraph g;
-  g.AddPhase().AddAction(table_a_, 1, LocalMode::kX, [&](ActionEnv&) {
+  dtxn->AddPhase().AddAction(table_a_, 1, LocalMode::kX, [&](ActionEnv&) {
     return Status::NotFound("bad input");
   });
-  g.AddPhase().AddAction(table_b_, 1, LocalMode::kX, [&](ActionEnv&) {
+  dtxn->AddPhase().AddAction(table_b_, 1, LocalMode::kX, [&](ActionEnv&) {
     phase2_ran = true;
     return Status::OK();
   });
-  const Status s = engine_->Run(dtxn, std::move(g));
+  const Status s = engine_->Run(dtxn);
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(phase2_ran.load());
   EXPECT_EQ(engine_->txns_aborted(), 1u);
@@ -281,8 +277,7 @@ TEST_F(DoraEngineTest, AbortInPhaseOneSkipsPhaseTwo) {
 TEST_F(DoraEngineTest, AbortRollsBackStorageEffects) {
   auto dtxn = engine_->BeginTxn();
   Rid inserted;
-  FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddAction(table_a_, 1, LocalMode::kX,
                  [&](ActionEnv& env) {
                    return env.db->Insert(env.txn, table_a_, "doomed",
@@ -291,7 +286,7 @@ TEST_F(DoraEngineTest, AbortRollsBackStorageEffects) {
       .AddAction(table_a_, 99, LocalMode::kX, [&](ActionEnv&) {
         return Status::InvalidArgument("fail sibling");
       });
-  EXPECT_FALSE(engine_->Run(dtxn, std::move(g)).ok());
+  EXPECT_FALSE(engine_->Run(dtxn).ok());
   // Depending on scheduling the insert may have been skipped entirely
   // (sibling failed first); if it did run, it must have been rolled back.
   if (inserted.Valid()) {
@@ -309,12 +304,12 @@ TEST_F(DoraEngineTest, ConflictingTxnsSerialize) {
   auto setup = engine_->BeginTxn();
   Rid rid;
   {
-    FlowGraph g;
-    g.AddPhase().AddAction(table_a_, 7, LocalMode::kX, [&](ActionEnv& env) {
+    setup->AddPhase().AddAction(table_a_, 7, LocalMode::kX,
+                                [&](ActionEnv& env) {
       return env.db->Insert(env.txn, table_a_, "00000000", &rid,
                             AccessOptions::RidOnly());
     });
-    ASSERT_TRUE(engine_->Run(setup, std::move(g)).ok());
+    ASSERT_TRUE(engine_->Run(setup).ok());
   }
   constexpr int kThreads = 4, kIters = 50;
   std::vector<std::thread> clients;
@@ -323,9 +318,8 @@ TEST_F(DoraEngineTest, ConflictingTxnsSerialize) {
     clients.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
         auto dtxn = engine_->BeginTxn();
-        FlowGraph g;
-        g.AddPhase().AddAction(table_a_, 7, LocalMode::kX,
-                               [&](ActionEnv& env) {
+        dtxn->AddPhase().AddAction(table_a_, 7, LocalMode::kX,
+                                   [&](ActionEnv& env) {
           std::string val;
           DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_a_, rid, &val,
                                             AccessOptions::NoCc()));
@@ -336,7 +330,7 @@ TEST_F(DoraEngineTest, ConflictingTxnsSerialize) {
                                 std::string_view(buf, 8),
                                 AccessOptions::NoCc());
         });
-        if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+        if (!engine_->Run(dtxn).ok()) failures++;
       }
     });
   }
@@ -359,15 +353,14 @@ TEST_F(DoraEngineTest, SameGraphTxnsNeverDeadlock) {
     clients.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
         auto dtxn = engine_->BeginTxn();
-        FlowGraph g;
-        g.AddPhase()
+        dtxn->AddPhase()
             .AddAction(table_a_, 3, LocalMode::kX,
                        [](ActionEnv&) { return Status::OK(); })
             .AddAction(table_a_, 77, LocalMode::kX,
                        [](ActionEnv&) { return Status::OK(); })
             .AddAction(table_b_, 5, LocalMode::kX,
                        [](ActionEnv&) { return Status::OK(); });
-        if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+        if (!engine_->Run(dtxn).ok()) failures++;
       }
     });
   }
@@ -380,8 +373,7 @@ TEST_F(DoraEngineTest, SameGraphTxnsNeverDeadlock) {
 TEST_F(DoraEngineTest, WholeDatasetActionDrainsExecutor) {
   std::atomic<int> whole_ran{0};
   auto dtxn = engine_->BeginTxn();
-  FlowGraph g;
-  g.AddPhase()
+  dtxn->AddPhase()
       .AddWholeDatasetAction(table_a_, 0, LocalMode::kX,
                              [&](ActionEnv&) {
                                whole_ran++;
@@ -391,7 +383,7 @@ TEST_F(DoraEngineTest, WholeDatasetActionDrainsExecutor) {
         whole_ran++;
         return Status::OK();
       });
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   EXPECT_EQ(whole_ran.load(), 2);
 }
 
@@ -408,12 +400,11 @@ TEST_F(DoraEngineTest, RebalanceMovesBoundary) {
 
   std::atomic<uint32_t> ran_on{999};
   auto dtxn = engine_->BeginTxn();
-  FlowGraph g;
-  g.AddPhase().AddAction(table_a_, 80, LocalMode::kX, [&](ActionEnv& env) {
+  dtxn->AddPhase().AddAction(table_a_, 80, LocalMode::kX, [&](ActionEnv& env) {
     ran_on = env.self->index_in_table();
     return Status::OK();
   });
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   EXPECT_EQ(ran_on.load(), 0u);
 }
 
@@ -425,10 +416,9 @@ TEST_F(DoraEngineTest, RebalanceUnderLoad) {
     while (!stop.load()) {
       auto dtxn = engine_->BeginTxn();
       const uint64_t key = rng.UniformInt(uint64_t{0}, uint64_t{99});
-      FlowGraph g;
-      g.AddPhase().AddAction(table_a_, key, LocalMode::kX,
-                             [](ActionEnv&) { return Status::OK(); });
-      if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+      dtxn->AddPhase().AddAction(table_a_, key, LocalMode::kX,
+                                 [](ActionEnv&) { return Status::OK(); });
+      if (!engine_->Run(dtxn).ok()) failures++;
     }
   });
   for (int i = 0; i < 5; ++i) {
@@ -444,10 +434,10 @@ TEST_F(DoraEngineTest, RebalanceUnderLoad) {
 }
 
 TEST_F(DoraEngineTest, SerializedPlanRunsActionsSequentially) {
-  FlowGraph g;
   std::vector<int> order;
   std::mutex mu;
-  g.AddPhase()
+  auto dtxn = engine_->BeginTxn();
+  dtxn->AddPhase()
       .AddAction(table_a_, 1, LocalMode::kS,
                  [&](ActionEnv&) {
                    std::lock_guard<std::mutex> lk(mu);
@@ -459,10 +449,9 @@ TEST_F(DoraEngineTest, SerializedPlanRunsActionsSequentially) {
         order.push_back(2);
         return Status::OK();
       });
-  FlowGraph serial = std::move(g).Serialized();
-  EXPECT_EQ(serial.phases().size(), 2u);
-  auto dtxn = engine_->BeginTxn();
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(serial)).ok());
+  dtxn->UseSerialPlan();
+  EXPECT_EQ(dtxn->num_phases(), 2u);
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
@@ -471,17 +460,106 @@ TEST_F(DoraEngineTest, SerializedPlanRunsActionsSequentially) {
 TEST_F(DoraEngineTest, SerialPlanAvoidsWastedWorkOnAbort) {
   // §A.4 DORA-S: when the first action fails, the second never executes.
   std::atomic<bool> second_ran{false};
-  FlowGraph g;
-  g.AddPhase()
+  auto dtxn = engine_->BeginTxn();
+  dtxn->AddPhase()
       .AddAction(table_a_, 1, LocalMode::kX,
                  [](ActionEnv&) { return Status::NotFound("wrong input"); })
       .AddAction(table_a_, 99, LocalMode::kX, [&](ActionEnv&) {
         second_ran = true;
         return Status::OK();
       });
-  auto dtxn = engine_->BeginTxn();
-  EXPECT_FALSE(engine_->Run(dtxn, std::move(g).Serialized()).ok());
+  dtxn->UseSerialPlan();
+  EXPECT_FALSE(engine_->Run(dtxn).ok());
   EXPECT_FALSE(second_ran.load());
+}
+
+// ------------------------------------------------- context recycling
+
+// One table on one executor, so every client thread shares one arena.
+class DoraContextTest : public ::testing::Test {
+ protected:
+  DoraContextTest() : db_(SmallDb()) {
+    EXPECT_TRUE(db_.catalog()->CreateTable("t", &table_).ok());
+    engine_ = std::make_unique<DoraEngine>(&db_);
+    engine_->RegisterTable(table_, 100, 1);
+    engine_->Start();
+  }
+  ~DoraContextTest() override { engine_->Stop(); }
+
+  // Waits until `n` contexts went back to the arena: each one's client
+  // handle is gone and its completion messages drained.
+  bool WaitForRecycles(uint64_t n) {
+    for (int i = 0; i < 10000; ++i) {
+      if (engine_->CollectInboxStats().arena_recycles >= n) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  Database db_;
+  TableId table_;
+  std::unique_ptr<DoraEngine> engine_;
+};
+
+TEST_F(DoraContextTest, RecycledContextRunsOnlyItsNewGraph) {
+  std::atomic<int> old_runs{0}, new_runs{0};
+  const DoraTxn* first = nullptr;
+  {
+    auto dtxn = engine_->BeginTxn();
+    first = dtxn.get();
+    dtxn->AddPhase()
+        .AddAction(table_, 1, LocalMode::kX,
+                   [&](ActionEnv&) {
+                     old_runs++;
+                     return Status::NotFound("abort phase 1");
+                   })
+        .AddAction(table_, 2, LocalMode::kX, [&](ActionEnv&) {
+          old_runs++;
+          return Status::OK();
+        });
+    dtxn->AddPhase().AddAction(table_, 3, LocalMode::kX, [&](ActionEnv&) {
+      old_runs++;
+      return Status::OK();
+    });
+    ASSERT_EQ(dtxn->num_phases(), 2u);
+    EXPECT_FALSE(engine_->Run(dtxn).ok());
+  }
+  ASSERT_TRUE(WaitForRecycles(1));
+  const int old_after_abort = old_runs.load();
+  EXPECT_LE(old_after_abort, 2) << "phase 2 ran after the abort";
+
+  auto dtxn = engine_->BeginTxn();
+  ASSERT_EQ(dtxn.get(), first) << "the arena handed out a fresh context";
+  EXPECT_TRUE(dtxn->actions.empty());
+  EXPECT_EQ(dtxn->num_phases(), 0u);
+  dtxn->AddPhase().AddAction(table_, 4, LocalMode::kX, [&](ActionEnv&) {
+    new_runs++;
+    return Status::OK();
+  });
+  EXPECT_EQ(dtxn->num_phases(), 1u);
+  EXPECT_EQ(dtxn->actions.size(), 1u);
+  EXPECT_EQ(dtxn->actions[0].phase, 0u);
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
+  EXPECT_EQ(new_runs.load(), 1);
+  EXPECT_EQ(old_runs.load(), old_after_abort);
+}
+
+TEST_F(DoraContextTest, RecycleDropsActionCaptures) {
+  auto payload = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = payload;
+  {
+    auto dtxn = engine_->BeginTxn();
+    dtxn->AddPhase().AddAction(
+        table_, 5, LocalMode::kS,
+        [p = std::move(payload)](ActionEnv&) {
+          return *p == 7 ? Status::OK() : Status::Corruption("payload");
+        });
+    ASSERT_TRUE(engine_->Run(dtxn).ok());
+    EXPECT_FALSE(watch.expired()) << "the client still holds its handle";
+  }
+  ASSERT_TRUE(WaitForRecycles(1));
+  EXPECT_TRUE(watch.expired())
+      << "a recycled context kept its actions' captures alive";
 }
 
 // -------------------------------------------------------- concurrent mixes
@@ -514,13 +592,12 @@ class DoraMixTest : public ::testing::Test {
     for (uint64_t key : keys) {
       auto dtxn = engine_->BeginTxn();
       Rid rid;
-      FlowGraph g;
-      g.AddPhase().AddAction(table_a_, key, LocalMode::kX,
-                             [&](ActionEnv& env) {
+      dtxn->AddPhase().AddAction(table_a_, key, LocalMode::kX,
+                                 [&](ActionEnv& env) {
         return env.db->Insert(env.txn, table_a_, "00000000", &rid,
                               AccessOptions::RidOnly());
       });
-      ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+      ASSERT_TRUE(engine_->Run(dtxn).ok());
       rids_.push_back(rid);
     }
     keys_ = keys;
@@ -539,12 +616,12 @@ class DoraMixTest : public ::testing::Test {
           const size_t pick =
               rng.UniformInt(size_t{0}, keys_.size() - 1);
           auto dtxn = engine_->BeginTxn();
-          FlowGraph g;
-          g.AddPhase().AddAction(table_a_, keys_[pick], LocalMode::kX,
-                                 [&, pick](ActionEnv& env) {
+          dtxn->AddPhase().AddAction(table_a_, keys_[pick], LocalMode::kX,
+                                     [&, pick](ActionEnv& env) {
             std::string val;
-            DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_a_, rids_[pick],
-                                              &val, AccessOptions::NoCc()));
+            DORADB_RETURN_NOT_OK(env.db->Read(env.txn, table_a_,
+                                              rids_[pick], &val,
+                                              AccessOptions::NoCc()));
             const uint64_t n = std::stoull(val) + 1;
             char buf[9];
             std::snprintf(buf, sizeof(buf), "%08lu", n);
@@ -552,7 +629,7 @@ class DoraMixTest : public ::testing::Test {
                                   std::string_view(buf, 8),
                                   AccessOptions::NoCc());
           });
-          if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+          if (!engine_->Run(dtxn).ok()) failures++;
         }
       });
     }
@@ -591,13 +668,12 @@ TEST_F(DoraMixTest, TicketedGraphsNeverDeadlockBesideSingleActions) {
     clients.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
         auto dtxn = engine_->BeginTxn();
-        FlowGraph g;
-        g.AddPhase()
+        dtxn->AddPhase()
             .AddAction(table_a_, 3, LocalMode::kX,
                        [](ActionEnv&) { return Status::OK(); })
             .AddAction(table_a_, 77, LocalMode::kX,
                        [](ActionEnv&) { return Status::OK(); });
-        if (!engine_->Run(dtxn, std::move(g)).ok()) failures++;
+        if (!engine_->Run(dtxn).ok()) failures++;
       }
     });
   }
@@ -644,21 +720,19 @@ TEST_F(DoraMixTest, ReadOnlyTransactionsLeaveNothingInTheLog) {
     constexpr int kReaders = 40;
     for (int i = 0; i < kReaders; ++i) {
       auto dtxn = engine_->BeginTxn();
-      FlowGraph g;
-      g.AddPhase()
+      dtxn->AddPhase()
           .AddAction(table_a_, 10, LocalMode::kS,
                      [](ActionEnv&) { return Status::OK(); })
           .AddAction(table_a_, 90, LocalMode::kS,
                      [](ActionEnv&) { return Status::OK(); });
-      ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+      ASSERT_TRUE(engine_->Run(dtxn).ok());
     }
     {
       auto dtxn = engine_->BeginTxn();
-      FlowGraph g;
-      g.AddPhase().AddAction(table_a_, 10, LocalMode::kS, [](ActionEnv&) {
+      dtxn->AddPhase().AddAction(table_a_, 10, LocalMode::kS, [](ActionEnv&) {
         return Status::Aborted("user abort");
       });
-      EXPECT_TRUE(engine_->Run(dtxn, std::move(g)).IsAborted());
+      EXPECT_TRUE(engine_->Run(dtxn).IsAborted());
     }
     EXPECT_EQ(engine_->txns_committed(), uint64_t(kReaders));
     EXPECT_EQ(engine_->txns_pipelined(), 0u)
@@ -713,13 +787,12 @@ class GuestSerializabilityTest : public ::testing::Test {
     engine_->Start();
     for (size_t i = 0; i < kKeys.size(); ++i) {
       auto dtxn = engine_->BeginTxn();
-      FlowGraph g;
-      g.AddPhase().AddAction(table_, kKeys[i], LocalMode::kX,
-                             [&](ActionEnv& env) {
+      dtxn->AddPhase().AddAction(table_, kKeys[i], LocalMode::kX,
+                                 [&](ActionEnv& env) {
         return env.db->Insert(env.txn, table_, Encode(0), &rids_[i],
                               AccessOptions::RidOnly());
       });
-      ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+      ASSERT_TRUE(engine_->Run(dtxn).ok());
     }
   }
   void TearDown() override {
@@ -757,27 +830,26 @@ class GuestSerializabilityTest : public ::testing::Test {
       uint64_t va = 0, vb = 0;
       Footprint f;
       auto dtxn = engine_->BeginTxn();
-      FlowGraph g;
-      g.AddPhase();
+      dtxn->AddPhase();
       if (kind < 5) {  // increment one key
         const size_t k = rng.UniformInt(size_t{0}, kKeys.size() - 1);
-        g.AddAction(table_, kKeys[k], LocalMode::kX,
-                    [&, k](ActionEnv& env) { return Bump(env, k, &va); });
-        if (engine_->Run(dtxn, std::move(g)).ok()) {
+        dtxn->AddAction(table_, kKeys[k], LocalMode::kX,
+                        [&, k](ActionEnv& env) { return Bump(env, k, &va); });
+        if (engine_->Run(dtxn).ok()) {
           f.reads = {{k, va}};
           f.writes = {{k, va + 1}};
           out->push_back(f);
         }
       } else if (kind < 8) {  // transfer across the two executors
         const bool fail = kind == 7;
-        g.AddAction(table_, kKeys[lo], LocalMode::kX,
-                    [&, lo](ActionEnv& env) { return Bump(env, lo, &va); });
-        g.AddAction(table_, kKeys[hi], LocalMode::kX,
-                    [&, hi, fail](ActionEnv& env) -> Status {
-                      if (fail) return Status::Aborted("transfer refused");
-                      return Bump(env, hi, &vb);
-                    });
-        const Status st = engine_->Run(dtxn, std::move(g));
+        dtxn->AddAction(table_, kKeys[lo], LocalMode::kX,
+                        [&, lo](ActionEnv& env) { return Bump(env, lo, &va); });
+        dtxn->AddAction(table_, kKeys[hi], LocalMode::kX,
+                        [&, hi, fail](ActionEnv& env) -> Status {
+                          if (fail) return Status::Aborted("transfer refused");
+                          return Bump(env, hi, &vb);
+                        });
+        const Status st = engine_->Run(dtxn);
         EXPECT_TRUE(!fail || !st.ok());
         if (st.ok()) {
           f.reads = {{lo, va}, {hi, vb}};
@@ -787,11 +859,13 @@ class GuestSerializabilityTest : public ::testing::Test {
       } else {  // audit two keys: across executors, or both on one
         const size_t a = lo;
         const size_t b = kind == 8 ? hi : 1 - lo;
-        g.AddAction(table_, kKeys[a], LocalMode::kS,
-                    [&, a](ActionEnv& env) { return ReadVersion(env, a, &va); });
-        g.AddAction(table_, kKeys[b], LocalMode::kS,
-                    [&, b](ActionEnv& env) { return ReadVersion(env, b, &vb); });
-        if (engine_->Run(dtxn, std::move(g)).ok()) {
+        dtxn->AddAction(
+            table_, kKeys[a], LocalMode::kS,
+            [&, a](ActionEnv& env) { return ReadVersion(env, a, &va); });
+        dtxn->AddAction(
+            table_, kKeys[b], LocalMode::kS,
+            [&, b](ActionEnv& env) { return ReadVersion(env, b, &vb); });
+        if (engine_->Run(dtxn).ok()) {
           f.reads = {{a, va}, {b, vb}};
           out->push_back(f);
         }

@@ -274,13 +274,12 @@ TEST(InboxEngineTest, ArenaRecyclesContextsAndCountsBatches) {
   engine.Start();
   for (int i = 0; i < 200; ++i) {
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph g;
-    g.AddPhase()
+    dtxn->AddPhase()
         .AddAction(table, 10, dora::LocalMode::kX,
                    [](dora::ActionEnv&) { return Status::OK(); })
         .AddAction(table, 90, dora::LocalMode::kX,
                    [](dora::ActionEnv&) { return Status::OK(); });
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    ASSERT_TRUE(engine.Run(dtxn).ok());
   }
   const auto s = engine.CollectInboxStats();
   EXPECT_EQ(engine.txns_committed(), 200u);
@@ -306,11 +305,10 @@ TEST(InboxEngineTest, PinnedExecutorsRunTransactions) {
   engine.Start();
   for (int i = 0; i < 50; ++i) {
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph g;
-    g.AddPhase().AddAction(table, static_cast<uint64_t>(i % 100),
-                           dora::LocalMode::kX,
-                           [](dora::ActionEnv&) { return Status::OK(); });
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    dtxn->AddPhase().AddAction(table, static_cast<uint64_t>(i % 100),
+                               dora::LocalMode::kX,
+                               [](dora::ActionEnv&) { return Status::OK(); });
+    ASSERT_TRUE(engine.Run(dtxn).ok());
   }
   EXPECT_EQ(engine.txns_committed(), 50u);
   engine.Stop();

@@ -294,14 +294,13 @@ TEST_P(CommitPathTraceTest, SevenSpansForCommittedTxn) {
     const uint64_t inline_before = engine.txns_inline();
     auto dtxn = engine.BeginTxn();
     txn_id = dtxn->txn()->id();
-    dora::FlowGraph g;
     if (path == CommitPath::kGuest) {
-      g.AddPhase().AddAction(table, 5, dora::LocalMode::kX, insert);
+      dtxn->AddPhase().AddAction(table, 5, dora::LocalMode::kX, insert);
     } else {
-      g.AddPhase().AddWholeDatasetAction(table, 0, dora::LocalMode::kX,
-                                         insert);
+      dtxn->AddPhase().AddWholeDatasetAction(table, 0, dora::LocalMode::kX,
+                                             insert);
     }
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    ASSERT_TRUE(engine.Run(dtxn).ok());
     if (path != CommitPath::kGuest) {
       EXPECT_EQ(engine.txns_inline(), inline_before);
       break;
@@ -396,14 +395,13 @@ TEST(HeatmapTest, GuestSessionsCountAsExecutorBusy) {
   Rid rid;
   auto run_one = [&] {
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph g;
-    g.AddPhase().AddAction(table, 7, dora::LocalMode::kX,
-                           [&](dora::ActionEnv& env) {
-                             return env.db->Insert(env.txn, table, "row",
-                                                   &rid,
-                                                   AccessOptions::RidOnly());
-                           });
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    dtxn->AddPhase().AddAction(table, 7, dora::LocalMode::kX,
+                               [&](dora::ActionEnv& env) {
+                                 return env.db->Insert(
+                                     env.txn, table, "row", &rid,
+                                     AccessOptions::RidOnly());
+                               });
+    ASSERT_TRUE(engine.Run(dtxn).ok());
   };
   // Until the executor first sleeps, its baton is not free.
   for (int i = 0; i < 1000 && engine.txns_inline() == 0; ++i) {

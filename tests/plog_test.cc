@@ -1022,15 +1022,14 @@ TEST(PlogDoraTest, PipelinedCommitDurableAndRecoverable) {
   for (int t = 0; t < kTxns; ++t) {
     const int row = t % kRows;
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph g;
-    g.AddPhase().AddAction(
+    dtxn->AddPhase().AddAction(
         table, static_cast<uint64_t>(row), dora::LocalMode::kX,
         [&, t, row](dora::ActionEnv& env) {
           return env.db->Update(env.txn, table, rids[row],
                                 "v" + std::to_string(t),
                                 AccessOptions::NoCc());
         });
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    ASSERT_TRUE(engine.Run(dtxn).ok());
   }
   engine.Stop();
   EXPECT_EQ(engine.txns_committed(), static_cast<uint64_t>(kTxns));
@@ -1079,8 +1078,7 @@ TEST(PlogDoraTest, PipelinedCommitSerializesConflictingWriters) {
     clients.emplace_back([&] {
       for (int i = 0; i < kPerClient; ++i) {
         auto dtxn = engine.BeginTxn();
-        dora::FlowGraph g;
-        g.AddPhase().AddAction(
+        dtxn->AddPhase().AddAction(
             table, 0, dora::LocalMode::kX, [&](dora::ActionEnv& env) {
               std::string cur;
               Status s =
@@ -1091,7 +1089,7 @@ TEST(PlogDoraTest, PipelinedCommitSerializesConflictingWriters) {
                                     std::to_string(std::stoi(cur) + 1),
                                     AccessOptions::NoCc());
             });
-        if (!engine.Run(dtxn, std::move(g)).ok()) {
+        if (!engine.Run(dtxn).ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -1141,15 +1139,14 @@ TEST(PlogDoraTest, ReaderOfReleasedWriteAckedOnlyOnceWriterDurable) {
     Status writer_status;
     std::thread writer([&] {
       auto dtxn = engine.BeginTxn();
-      dora::FlowGraph g;
-      g.AddPhase().AddAction(
+      dtxn->AddPhase().AddAction(
           table, 7, dora::LocalMode::kX, [&](dora::ActionEnv& env) {
             const Status s = env.db->Update(env.txn, table, rid, value,
                                             AccessOptions::NoCc());
             written.store(true, std::memory_order_release);
             return s;
           });
-      writer_status = engine.Run(dtxn, std::move(g));
+      writer_status = engine.Run(dtxn);
     });
     while (!written.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -1158,13 +1155,12 @@ TEST(PlogDoraTest, ReaderOfReleasedWriteAckedOnlyOnceWriterDurable) {
     // granted by the writer's early release and reads its update.
     std::string seen;
     auto rtxn = engine.BeginTxn();
-    dora::FlowGraph rg;
-    rg.AddPhase().AddAction(
+    rtxn->AddPhase().AddAction(
         table, 7, dora::LocalMode::kS, [&](dora::ActionEnv& env) {
           return env.db->Read(env.txn, table, rid, &seen,
                               AccessOptions::NoCc());
         });
-    const Status reader_status = engine.Run(rtxn, std::move(rg));
+    const Status reader_status = engine.Run(rtxn);
     db.log_manager()->DiscardVolatileTail();  // the crash instant
     writer.join();
     engine.Stop();

@@ -183,16 +183,16 @@ TEST_P(DoraExecutorSweepTest, NoLostUpdatesAnyExecutorCount) {
   Rid rids[kKeys];
   {
     auto dtxn = engine.BeginTxn();
-    dora::FlowGraph g;
-    g.AddPhase();
+    dtxn->AddPhase();
     for (int k = 0; k < kKeys; ++k) {
-      g.AddAction(table, uint64_t(k * 8), dora::LocalMode::kX,
-                  [&db, &rids, k, table](dora::ActionEnv& env) {
-                    return env.db->Insert(env.txn, table, "00000000",
-                                          &rids[k], AccessOptions::RidOnly());
-                  });
+      dtxn->AddAction(table, uint64_t(k * 8), dora::LocalMode::kX,
+                      [&db, &rids, k, table](dora::ActionEnv& env) {
+                        return env.db->Insert(env.txn, table, "00000000",
+                                              &rids[k],
+                                              AccessOptions::RidOnly());
+                      });
     }
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    ASSERT_TRUE(engine.Run(dtxn).ok());
   }
 
   std::atomic<int> failures{0};
@@ -204,8 +204,7 @@ TEST_P(DoraExecutorSweepTest, NoLostUpdatesAnyExecutorCount) {
         const int k = static_cast<int>(rng.UniformInt(uint64_t{0},
                                                       uint64_t{kKeys - 1}));
         auto dtxn = engine.BeginTxn();
-        dora::FlowGraph g;
-        g.AddPhase().AddAction(
+        dtxn->AddPhase().AddAction(
             table, uint64_t(k * 8), dora::LocalMode::kX,
             [&, k](dora::ActionEnv& env) -> Status {
               std::string val;
@@ -218,7 +217,7 @@ TEST_P(DoraExecutorSweepTest, NoLostUpdatesAnyExecutorCount) {
                                     std::string_view(buf, 8),
                                     AccessOptions::NoCc());
             });
-        if (!engine.Run(dtxn, std::move(g)).ok()) failures++;
+        if (!engine.Run(dtxn).ok()) failures++;
       }
     });
   }

@@ -161,12 +161,11 @@ TEST_F(ScriptedRebalanceTest, HotSingleRangeSplitsAtMidpoint) {
   EXPECT_EQ(engine_->RouteIndex(table_, 300), 1u);
   std::atomic<uint32_t> ran_on{999};
   auto dtxn = engine_->BeginTxn();
-  FlowGraph g;
-  g.AddPhase().AddAction(table_, 300, LocalMode::kX, [&](ActionEnv& env) {
+  dtxn->AddPhase().AddAction(table_, 300, LocalMode::kX, [&](ActionEnv& env) {
     ran_on = env.self->index_in_table();
     return Status::OK();
   });
-  ASSERT_TRUE(engine_->Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine_->Run(dtxn).ok());
   EXPECT_EQ(ran_on.load(), 1u);
 }
 
@@ -350,12 +349,11 @@ TEST(RebalanceTest, SplitRoutingTableRecoveredAcrossLifetimes) {
 
     std::atomic<uint32_t> ran_on{999};
     auto dtxn = engine.BeginTxn();
-    FlowGraph g;
-    g.AddPhase().AddAction(table, 300, LocalMode::kX, [&](ActionEnv& env) {
+    dtxn->AddPhase().AddAction(table, 300, LocalMode::kX, [&](ActionEnv& env) {
       ran_on = env.self->index_in_table();
       return Status::OK();
     });
-    ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+    ASSERT_TRUE(engine.Run(dtxn).ok());
     EXPECT_EQ(ran_on.load(), 1u);
     engine.Stop();
     db.SimulateKill();
@@ -386,12 +384,11 @@ TEST(RebalanceTest, SplitRoutingTableRecoveredAcrossLifetimes) {
   engine.Start();
   std::atomic<uint32_t> ran_on{999};
   auto dtxn = engine.BeginTxn();
-  FlowGraph g;
-  g.AddPhase().AddAction(table, 300, LocalMode::kX, [&](ActionEnv& env) {
+  dtxn->AddPhase().AddAction(table, 300, LocalMode::kX, [&](ActionEnv& env) {
     ran_on = env.self->index_in_table();
     return Status::OK();
   });
-  ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+  ASSERT_TRUE(engine.Run(dtxn).ok());
   EXPECT_EQ(ran_on.load(), 1u)
       << "recovered rule must route like the original";
   engine.Stop();

@@ -415,10 +415,9 @@ TEST(WatchdogEndToEndTest, StalledExecutorTripsHealthzAndDumpsBlackbox) {
     // commit no-op guests on the same executor until one ran inline.
     for (int i = 0; i < 1000 && engine.txns_inline() == 0; ++i) {
       auto dtxn = engine.BeginTxn();
-      dora::FlowGraph g;
-      g.AddPhase().AddAction(table, 5, dora::LocalMode::kX,
-                             [](dora::ActionEnv&) { return Status::OK(); });
-      ASSERT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+      dtxn->AddPhase().AddAction(table, 5, dora::LocalMode::kX,
+                                 [](dora::ActionEnv&) { return Status::OK(); });
+      ASSERT_TRUE(engine.Run(dtxn).ok());
       SleepMs(1);
     }
     ASSERT_EQ(engine.txns_inline(), 1u);
@@ -427,13 +426,12 @@ TEST(WatchdogEndToEndTest, StalledExecutorTripsHealthzAndDumpsBlackbox) {
     // than the stall threshold — the "stuck in an action" failure mode.
     std::thread client([&] {
       auto dtxn = engine.BeginTxn();
-      dora::FlowGraph g;
-      g.AddPhase().AddAction(table, 5, dora::LocalMode::kX,
-                             [](dora::ActionEnv&) {
-                               SleepMs(800);
-                               return Status::OK();
-                             });
-      EXPECT_TRUE(engine.Run(dtxn, std::move(g)).ok());
+      dtxn->AddPhase().AddAction(table, 5, dora::LocalMode::kX,
+                                 [](dora::ActionEnv&) {
+                                   SleepMs(800);
+                                   return Status::OK();
+                                 });
+      EXPECT_TRUE(engine.Run(dtxn).ok());
     });
 
     // While the executor is wedged, /healthz must flip to 503.
